@@ -14,6 +14,8 @@
 //!   `predict_batch` (each pinned to one worker so criterion tracks the
 //!   per-core cost; thread scaling is the `search_throughput` harness's
 //!   job).
+//! * The surrogate on the tuners' real traffic: `gbt_fit_240x28_vgg` and
+//!   `gbt_predict_vgg`, next to the continuous synthetic `gbt_fit_600x8`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use glimpse_core::artifacts::{GlimpseArtifacts, TrainingOptions};
@@ -100,6 +102,42 @@ fn bench_components(c: &mut Criterion) {
             let mut fit_rng = StdRng::seed_from_u64(1);
             std::hint::black_box(Gbt::fit(&xs, &ys, GbtParams::default(), &mut fit_rng))
         })
+    });
+
+    // The tuners' real traffic: 240 uniform configs of a VGG-16 conv task
+    // (28 feature columns, most with 2–10 distinct values), targets scaled
+    // as the cost model scales them. Unlike the continuous synthetic
+    // `gbt_fit_600x8` matrix, most of each sorted column is runs of ties.
+    let (vgg_xs, vgg_ys) = {
+        let model = models::vgg16();
+        let vspace = templates::space_for_task(&model.tasks()[0]);
+        let mut measurer = Measurer::new(gpu.clone(), 19);
+        let mut rng = StdRng::seed_from_u64(19);
+        let rows: Vec<(Vec<f64>, f64)> = (0..240)
+            .map(|_| {
+                let cfg = vspace.sample_uniform(&mut rng);
+                let trial = Trial::from_measure(&measurer.measure(&vspace, &cfg));
+                (vspace.features(&cfg), trial.gflops.unwrap_or(0.0) / 1000.0)
+            })
+            .collect();
+        rows.into_iter().unzip::<_, _, Vec<_>, Vec<_>>()
+    };
+
+    c.bench_function("gbt_fit_240x28_vgg", |b| {
+        use glimpse_mlkit::gbt::{Gbt, GbtParams};
+        b.iter(|| {
+            let mut fit_rng = StdRng::seed_from_u64(1);
+            std::hint::black_box(Gbt::fit(&vgg_xs, &vgg_ys, GbtParams::default(), &mut fit_rng))
+        })
+    });
+
+    c.bench_function("gbt_predict_vgg", |b| {
+        // All 240 rows, one at a time, through the 50-tree forest fitted on
+        // them (a single call is too short to time).
+        use glimpse_mlkit::gbt::{Gbt, GbtParams};
+        let mut fit_rng = StdRng::seed_from_u64(1);
+        let forest = Gbt::fit(&vgg_xs, &vgg_ys, GbtParams::default(), &mut fit_rng);
+        b.iter(|| vgg_xs.iter().map(|x| forest.predict(std::hint::black_box(x))).sum::<f64>())
     });
 
     c.bench_function("gbt_fit_incremental_600x8_plus8", |b| {

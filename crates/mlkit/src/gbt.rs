@@ -4,13 +4,28 @@
 //! reproduction's equivalent: depth-limited regression trees fitted to
 //! residuals with shrinkage and optional feature subsampling.
 //!
-//! Since PR 2 the split search runs as a single sorted prefix-sum sweep
-//! (sum / sum-of-squares sufficient statistics) instead of re-scanning the
-//! node for every candidate threshold — an O(n·thresholds) → O(n log n)
-//! algorithmic win — and the per-feature searches fan out across worker
-//! threads via [`crate::parallel`]. Feature-subsampling coin flips are drawn
-//! *before* the fan-out, so the fitted ensemble is bit-identical at every
-//! thread count.
+//! **Presorted column-major fits.** Each call to [`Gbt::fit`] or
+//! [`Gbt::fit_incremental`] transposes the training rows once into a
+//! column-major matrix and stable-sorts every column once into `u32` row
+//! orders. While a tree grows, each node owns the same `[lo, hi)` segment of
+//! every column order (plus one segment in row-index order, over which the
+//! leaf mean is summed); a split stably partitions every segment in place
+//! through one reusable scratch buffer. A stable partition of a stable
+//! presort is exactly the order a per-node stable sort would produce, so the
+//! split search sees the same sequence — and sums in the same order — as
+//! sorting `(value, target)` pairs at every node, without the sort.
+//!
+//! **Split search.** One sweep per (node, feature) over the sorted segment
+//! keeps only the cumulative `(value, count, sum, sum²)` record at the end of
+//! each run of equal values; the candidate thresholds are midpoints between
+//! consecutive runs, strided so at most ~16 are scored, each in O(1). The
+//! per-feature sweeps fan out across worker threads via [`crate::parallel`]
+//! on large nodes. Feature-subsampling coin flips are drawn *before* the
+//! fan-out, so the fitted ensemble is bit-identical at every thread count.
+//!
+//! **Flat forests.** All trees live in one pre-order node vector (a split's
+//! left child is the node after it), so prediction walks an array and a warm
+//! start clones one allocation.
 //!
 //! [`Gbt::fit_incremental`] warm-starts boosting from an existing forest:
 //! new trees are fitted to the residuals of the current predictions, so a
@@ -50,48 +65,38 @@ impl Default for GbtParams {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum Node {
-    Leaf(f64),
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
-    },
-}
+/// `Node::feature` of a leaf.
+const LEAF: u32 = u32::MAX;
 
-impl Node {
-    fn predict(&self, x: &[f64]) -> f64 {
-        match self {
-            Node::Leaf(v) => *v,
-            Node::Split {
-                feature,
-                threshold,
-                left,
-                right,
-            } => {
-                if x[*feature] <= *threshold {
-                    left.predict(x)
-                } else {
-                    right.predict(x)
-                }
-            }
-        }
-    }
+/// One node of a flattened tree. Nodes are stored in pre-order, so a
+/// split's left child is the next node.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Split feature, or [`LEAF`].
+    feature: u32,
+    /// Index of a split's right child.
+    right: u32,
+    /// A split's threshold (`x[feature] <= value` goes left), or the leaf value.
+    value: f64,
 }
 
 /// A fitted gradient-boosted tree ensemble (squared loss).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Gbt {
     base: f64,
-    trees: Vec<Node>,
+    /// Every tree's nodes; each tree is contiguous and in pre-order.
+    nodes: Vec<Node>,
+    /// Index of each tree's root in `nodes`.
+    roots: Vec<u32>,
     params: GbtParams,
 }
 
 /// Below this many (sample × feature) cells a node's split search runs
-/// inline: thread fan-out costs more than it saves on small nodes.
-const PARALLEL_SPLIT_CELLS: usize = 8 * 1024;
+/// inline: thread fan-out costs more than it saves on small nodes. On a
+/// 2-vCPU host the inline sweep beat the fan-out at every node size up to
+/// 16 000 × 16 cells, so every tuner fit (a few hundred rows × ≤ 28
+/// features) stays inline.
+const PARALLEL_SPLIT_CELLS: usize = 256 * 1024;
 /// Minimum batch size before predictions fan out across workers.
 const PARALLEL_PREDICT_ROWS: usize = 256;
 
@@ -122,7 +127,8 @@ impl Gbt {
         let mut residuals: Vec<f64> = ys.iter().map(|y| y - base).collect();
         let mut forest = Self {
             base,
-            trees: Vec::with_capacity(params.trees),
+            nodes: Vec::new(),
+            roots: Vec::with_capacity(params.trees),
             params,
         };
         forest.boost(xs, &mut residuals, params.trees, rng);
@@ -153,36 +159,46 @@ impl Gbt {
         let preds = self.predict_batch(xs);
         let mut residuals: Vec<f64> = ys.iter().zip(&preds).map(|(y, p)| y - p).collect();
         let mut forest = self.clone();
-        forest.trees.reserve(extra_trees);
+        forest.roots.reserve(extra_trees);
         forest.boost(xs, &mut residuals, extra_trees, rng);
         forest
     }
 
     /// Shared boosting loop: appends `rounds` trees fitted on `residuals`,
     /// updating the residuals in place with shrinkage after each round.
-    fn boost<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(&mut self, xs: &[X], residuals: &mut [f64], rounds: usize, rng: &mut R) {
-        let width = xs[0].as_ref().len();
-        assert!(xs.iter().all(|x| x.as_ref().len() == width), "ragged features");
-        let indices: Vec<usize> = (0..xs.len()).collect();
-        let predict_threads = if xs.len() >= PARALLEL_PREDICT_ROWS {
-            Threads::AUTO
-        } else {
-            Threads::fixed(1)
-        };
+    fn boost<X: AsRef<[f64]>, R: Rng + ?Sized>(&mut self, xs: &[X], residuals: &mut [f64], rounds: usize, rng: &mut R) {
+        let mut builder = TreeBuilder::new(xs, &self.params);
         for _ in 0..rounds {
-            let tree = build_tree(xs, residuals, &indices, self.params.max_depth, &self.params, rng);
-            let preds = parallel_map(predict_threads, xs, |_, x| tree.predict(x.as_ref()));
-            for (r, p) in residuals.iter_mut().zip(&preds) {
+            self.roots.push(node_index(self.nodes.len()));
+            builder.build(residuals, &mut self.nodes, rng);
+            // A training row's tree prediction is the value of the leaf the
+            // build partitioned it into.
+            for (r, p) in residuals.iter_mut().zip(&builder.fitted) {
                 *r -= self.params.learning_rate * p;
             }
-            self.trees.push(tree);
+        }
+    }
+
+    /// The prediction of the tree rooted at `root`.
+    fn eval(&self, root: u32, x: &[f64]) -> f64 {
+        let mut i = root as usize;
+        loop {
+            let node = self.nodes[i];
+            if node.feature == LEAF {
+                return node.value;
+            }
+            i = if x[node.feature as usize] <= node.value {
+                i + 1
+            } else {
+                node.right as usize
+            };
         }
     }
 
     /// Predicted value at `x`.
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.base + self.params.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+        self.base + self.params.learning_rate * self.roots.iter().map(|&root| self.eval(root, x)).sum::<f64>()
     }
 
     /// Predicted values for a batch of rows, fanned out across worker
@@ -200,13 +216,13 @@ impl Gbt {
     /// Number of fitted trees.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.trees.len()
+        self.roots.len()
     }
 
     /// Whether the ensemble has no trees.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
+        self.roots.is_empty()
     }
 
     /// The root split of tree `t` as `(feature, threshold)`, if it split.
@@ -215,108 +231,256 @@ impl Gbt {
     #[doc(hidden)]
     #[must_use]
     pub fn root_split(&self, t: usize) -> Option<(usize, f64)> {
-        match self.trees.get(t)? {
-            Node::Leaf(_) => None,
-            Node::Split { feature, threshold, .. } => Some((*feature, *threshold)),
-        }
+        let root = self.nodes[*self.roots.get(t)? as usize];
+        (root.feature != LEAF).then_some((root.feature as usize, root.value))
     }
 }
 
-fn build_tree<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(
-    xs: &[X],
-    targets: &[f64],
-    indices: &[usize],
-    depth: usize,
-    params: &GbtParams,
-    rng: &mut R,
-) -> Node {
-    let n = indices.len();
-    let mean: f64 = indices.iter().map(|&i| targets[i]).sum::<f64>() / n.max(1) as f64;
-    if depth == 0 || n < params.min_samples_split {
-        return Node::Leaf(mean);
+/// A row or node position as stored in the `u32` orders and node links.
+// lint:boundary(PANICS) 2^32 rows or nodes would need tens of GB of presorted columns or nodes; past that, the fit cannot run at all
+fn node_index(i: usize) -> u32 {
+    u32::try_from(i).expect("GBT row and node counts fit in u32")
+}
+
+/// Stable-sorts `order` (row indices) by `values[row]` under `total_cmp`.
+fn sort_rows(values: &[f64], order: &mut [u32]) {
+    order.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
+}
+
+/// Per-fit tree-growing state: the presorted column-major training matrix
+/// and the buffers every tree reuses.
+struct TreeBuilder<'p> {
+    params: &'p GbtParams,
+    rows: usize,
+    width: usize,
+    /// Column-major training matrix: `cols[f * rows + row]`.
+    cols: Vec<f64>,
+    /// Every column's rows, stably sorted by value (`sort_rows`).
+    presorted: Vec<u32>,
+    /// Working copy of `presorted` that a tree partitions in place.
+    orders: Vec<u32>,
+    /// Rows in row-index order, partitioned alongside the columns.
+    by_row: Vec<u32>,
+    /// Per-row side of the split being applied.
+    goes_left: Vec<bool>,
+    /// Right-hand rows of a segment being partitioned.
+    scratch: Vec<u32>,
+    /// Run-end records of the sequential split sweep.
+    runs: Vec<RunEnd>,
+    /// Each training row's prediction under the last tree built.
+    fitted: Vec<f64>,
+}
+
+impl<'p> TreeBuilder<'p> {
+    fn new<X: AsRef<[f64]>>(xs: &[X], params: &'p GbtParams) -> Self {
+        let rows = xs.len();
+        let width = xs[0].as_ref().len();
+        assert!(xs.iter().all(|x| x.as_ref().len() == width), "ragged features");
+        let mut cols = vec![0.0; rows * width];
+        for (row, x) in xs.iter().enumerate() {
+            for (f, &v) in x.as_ref().iter().enumerate() {
+                cols[f * rows + row] = v;
+            }
+        }
+        let identity: Vec<u32> = (0..node_index(rows)).collect();
+        let mut presorted = Vec::with_capacity(rows * width);
+        for values in cols.chunks_exact(rows) {
+            let start = presorted.len();
+            presorted.extend_from_slice(&identity);
+            sort_rows(values, &mut presorted[start..]);
+        }
+        Self {
+            params,
+            rows,
+            width,
+            orders: presorted.clone(),
+            cols,
+            presorted,
+            by_row: identity,
+            goes_left: vec![false; rows],
+            scratch: Vec::with_capacity(rows),
+            runs: Vec::new(),
+            fitted: vec![0.0; rows],
+        }
     }
-    let width = xs[0].as_ref().len();
-    // Feature-subsampling coin flips happen before the parallel fan-out so
-    // the RNG stream (and thus the fitted model) is thread-count invariant.
-    let included: Vec<bool> = (0..width)
-        .map(|_| !(params.feature_fraction < 1.0 && rng.gen::<f64>() > params.feature_fraction))
-        .collect();
-    let threads = if n * width >= PARALLEL_SPLIT_CELLS {
-        Threads::AUTO
-    } else {
-        Threads::fixed(1)
-    };
-    let per_feature = parallel_map_range(threads, width, |feature| {
-        if included[feature] {
-            best_split_for_feature(xs, targets, indices, feature)
-        } else {
+
+    /// Grows one tree on `targets`, appending its nodes in pre-order and
+    /// recording each row's leaf value in `fitted`.
+    fn build<R: Rng + ?Sized>(&mut self, targets: &[f64], nodes: &mut Vec<Node>, rng: &mut R) {
+        self.orders.copy_from_slice(&self.presorted);
+        for (row, i) in self.by_row.iter_mut().zip(0..) {
+            *row = i;
+        }
+        self.grow(targets, nodes, 0, self.rows, self.params.max_depth, rng);
+    }
+
+    fn grow<R: Rng + ?Sized>(&mut self, targets: &[f64], nodes: &mut Vec<Node>, lo: usize, hi: usize, depth: usize, rng: &mut R) {
+        let n = hi - lo;
+        let mean: f64 = self.by_row[lo..hi].iter().map(|&r| targets[r as usize]).sum::<f64>() / n.max(1) as f64;
+        let split = if depth == 0 || n < self.params.min_samples_split {
             None
-        }
-    });
-    // Reduce with the legacy tie-break: earliest feature wins on equal gain.
-    let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-    for (feature, candidate) in per_feature.into_iter().enumerate() {
-        if let Some((threshold, gain)) = candidate {
-            if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
-                best = Some((feature, threshold, gain));
+        } else {
+            self.best_split(targets, lo, hi, rng)
+        };
+        let Some((feature, threshold)) = split else {
+            for &row in &self.by_row[lo..hi] {
+                self.fitted[row as usize] = mean;
             }
-        }
+            nodes.push(Node {
+                feature: LEAF,
+                right: 0,
+                value: mean,
+            });
+            return;
+        };
+        let at = nodes.len();
+        nodes.push(Node {
+            feature: node_index(feature),
+            right: 0,
+            value: threshold,
+        });
+        // Children at depth 0 are leaves: they need only the row segment.
+        let mid = self.partition(feature, threshold, lo, hi, depth > 1);
+        self.grow(targets, nodes, lo, mid, depth - 1, rng);
+        nodes[at].right = node_index(nodes.len());
+        self.grow(targets, nodes, mid, hi, depth - 1, rng);
     }
-    match best {
-        None => Node::Leaf(mean),
-        Some((feature, threshold, _)) => {
-            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| xs[i].as_ref()[feature] <= threshold);
-            let left = build_tree(xs, targets, &left_idx, depth - 1, params, rng);
-            let right = build_tree(xs, targets, &right_idx, depth - 1, params, rng);
-            Node::Split {
-                feature,
-                threshold,
-                left: Box::new(left),
-                right: Box::new(right),
+
+    /// The best `(feature, threshold)` for the node owning `[lo, hi)`, if
+    /// any split gains more than 1e-12.
+    fn best_split<R: Rng + ?Sized>(&mut self, targets: &[f64], lo: usize, hi: usize, rng: &mut R) -> Option<(usize, f64)> {
+        let Self {
+            params,
+            rows,
+            width,
+            cols,
+            orders,
+            runs,
+            ..
+        } = self;
+        let (rows, width) = (*rows, *width);
+        // Feature-subsampling coin flips happen before the parallel fan-out so
+        // the RNG stream (and thus the fitted model) is thread-count invariant.
+        let fraction = params.feature_fraction;
+        let included: Vec<bool> = (0..width).map(|_| !(fraction < 1.0 && rng.gen::<f64>() > fraction)).collect();
+        let column = |f: usize| (&cols[f * rows..(f + 1) * rows], &orders[f * rows + lo..f * rows + hi]);
+        let per_feature: Vec<Option<(f64, f64)>> = if (hi - lo) * width >= PARALLEL_SPLIT_CELLS {
+            parallel_map_range(Threads::AUTO, width, |f| {
+                let (values, order) = column(f);
+                included[f].then(|| sweep(values, order, targets, &mut Vec::new())).flatten()
+            })
+        } else {
+            (0..width)
+                .map(|f| {
+                    let (values, order) = column(f);
+                    included[f].then(|| sweep(values, order, targets, runs)).flatten()
+                })
+                .collect()
+        };
+        // Reduce with the legacy tie-break: earliest feature wins on equal gain.
+        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
+        for (feature, candidate) in per_feature.into_iter().enumerate() {
+            if let Some((threshold, gain)) = candidate {
+                if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
+                    best = Some((feature, threshold, gain));
+                }
             }
         }
+        best.map(|(feature, threshold, _)| (feature, threshold))
+    }
+
+    /// Stably partitions the row segment `[lo, hi)` — and, if `columns`,
+    /// every column's segment — into rows with `x[feature] <= threshold`
+    /// followed by the rest. Returns the boundary.
+    fn partition(&mut self, feature: usize, threshold: f64, lo: usize, hi: usize, columns: bool) -> usize {
+        let rows = self.rows;
+        let values = &self.cols[feature * rows..(feature + 1) * rows];
+        for &row in &self.by_row[lo..hi] {
+            self.goes_left[row as usize] = values[row as usize] <= threshold;
+        }
+        let mid = lo + stable_partition(&mut self.by_row[lo..hi], &self.goes_left, &mut self.scratch);
+        if columns {
+            for order in self.orders.chunks_exact_mut(rows) {
+                stable_partition(&mut order[lo..hi], &self.goes_left, &mut self.scratch);
+            }
+        }
+        mid
     }
 }
 
-/// Best `(threshold, gain)` for one feature via a single sorted prefix-sum
-/// sweep over (sum, sum-of-squares) sufficient statistics.
+/// Moves the rows of `segment` with `goes_left[row]` to its front, both
+/// halves keeping their order; returns how many went left.
+fn stable_partition(segment: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
+    scratch.clear();
+    let mut left = 0;
+    for i in 0..segment.len() {
+        let row = segment[i];
+        if goes_left[row as usize] {
+            segment[left] = row;
+            left += 1;
+        } else {
+            scratch.push(row);
+        }
+    }
+    segment[left..].copy_from_slice(scratch);
+    left
+}
+
+/// Cumulative statistics of a node's sorted targets at the end of one run
+/// of equal feature values.
+#[derive(Debug, Clone, Copy)]
+struct RunEnd {
+    /// The run's value (its first, under `==`, so `-0.0` and `0.0` share a run).
+    value: f64,
+    /// Samples with value ≤ this run's.
+    count: usize,
+    /// Sum of their targets, accumulated in sorted order.
+    sum: f64,
+    /// Sum of their squared targets, accumulated in sorted order.
+    sq: f64,
+}
+
+/// Best `(threshold, gain)` for one feature from a single sweep over the
+/// node's rows in sorted order (`order`), keeping only run-end
+/// `(value, count, sum, sum²)` records in `runs`.
 ///
-/// Candidate thresholds are the same quantile-ish midpoints the original
-/// two-pass search visited (consecutive distinct sorted values, strided so
-/// at most ~16 candidates are scored), but each candidate now costs O(1)
-/// instead of two O(n) scans.
-fn best_split_for_feature<X: AsRef<[f64]>>(xs: &[X], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
-    let n = indices.len();
-    let mut pairs: Vec<(f64, f64)> = indices.iter().map(|&i| (xs[i].as_ref()[feature], targets[i])).collect();
-    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
-    // Prefix sums of t and t² over the sorted order, plus the boundary
-    // position (count of samples ≤ value) of each distinct-value run.
-    let mut prefix_sum = vec![0.0f64; n + 1];
-    let mut prefix_sq = vec![0.0f64; n + 1];
-    let mut runs: Vec<(f64, usize)> = Vec::new(); // (distinct value, samples ≤ it)
-    for (i, &(v, t)) in pairs.iter().enumerate() {
-        prefix_sum[i + 1] = prefix_sum[i] + t;
-        prefix_sq[i + 1] = prefix_sq[i] + t * t;
+/// Candidate thresholds are midpoints between consecutive distinct values,
+/// strided so at most ~16 are scored, each in O(1).
+fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>) -> Option<(f64, f64)> {
+    runs.clear();
+    let (mut sum, mut sq) = (0.0f64, 0.0f64);
+    for (i, &row) in order.iter().enumerate() {
+        let (v, t) = (values[row as usize], targets[row as usize]);
+        sum += t;
+        sq += t * t;
         match runs.last_mut() {
-            Some(run) if run.0 == v => run.1 = i + 1,
-            _ => runs.push((v, i + 1)),
+            Some(run) if run.value == v => {
+                run.count = i + 1;
+                run.sum = sum;
+                run.sq = sq;
+            }
+            _ => runs.push(RunEnd {
+                value: v,
+                count: i + 1,
+                sum,
+                sq,
+            }),
         }
     }
     if runs.len() < 2 {
         return None;
     }
-    let total_sum = prefix_sum[n];
-    let total_sq = prefix_sq[n];
+    let n = order.len();
+    let (total_sum, total_sq) = (sum, sq);
     let parent_sse = total_sq - total_sum * total_sum / n as f64;
     let step = (runs.len() / 16).max(1);
     let mut best: Option<(f64, f64)> = None;
     for j in (0..runs.len() - 1).step_by(step) {
-        let threshold = (runs[j].0 + runs[j + 1].0) / 2.0;
-        let p = runs[j].1; // left count: every sample with value ≤ runs[j].0
-        let left_sum = prefix_sum[p];
-        let left_sse = prefix_sq[p] - left_sum * left_sum / p as f64;
-        let right_sum = total_sum - left_sum;
-        let right_sse = (total_sq - prefix_sq[p]) - right_sum * right_sum / (n - p) as f64;
+        let (left, next) = (runs[j], runs[j + 1]);
+        let threshold = (left.value + next.value) / 2.0;
+        let left_sse = left.sq - left.sum * left.sum / left.count as f64;
+        let right_sum = total_sum - left.sum;
+        let right_sse = (total_sq - left.sq) - right_sum * right_sum / (n - left.count) as f64;
         let gain = parent_sse - (left_sse + right_sse);
         if best.is_none_or(|(_, g)| gain > g) {
             best = Some((threshold, gain));
@@ -325,13 +489,17 @@ fn best_split_for_feature<X: AsRef<[f64]>>(xs: &[X], targets: &[f64], indices: &
     best
 }
 
-/// The prefix-sum split search for one feature, exposed so the
-/// `search_throughput` harness can time it against the two-pass reference.
-/// Not part of the modeling API.
+/// The split search for one feature over the node `indices`: stable-sorts
+/// the node, then runs the production sweep. Exposed so the
+/// `search_throughput` harness can time it and check it against the
+/// two-pass reference. Not part of the modeling API.
 #[doc(hidden)]
 #[must_use]
 pub fn prefix_sum_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
-    best_split_for_feature(xs, targets, indices, feature)
+    let values: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
+    let mut order: Vec<u32> = indices.iter().map(|&i| node_index(i)).collect();
+    sort_rows(&values, &mut order);
+    sweep(&values, &order, targets, &mut Vec::new())
 }
 
 /// The original O(n·thresholds) two-pass split search, kept verbatim as the
@@ -384,6 +552,7 @@ pub fn two_pass_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -491,7 +660,7 @@ mod tests {
         let indices: Vec<usize> = (0..xs.len()).collect();
         let width = xs[0].len();
         for feature in 0..width {
-            let fast = best_split_for_feature(&xs, &ys, &indices, feature);
+            let fast = prefix_sum_best_split(&xs, &ys, &indices, feature);
             let slow = two_pass_best_split(&xs, &ys, &indices, feature);
             match (fast, slow) {
                 (Some((ft, fg)), Some((st, sg))) => {
@@ -534,8 +703,8 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..30).map(|i| vec![1.0, (i % 3) as f64]).collect();
         let ys: Vec<f64> = (0..30).map(|i| (i % 3) as f64 * 10.0).collect();
         let indices: Vec<usize> = (0..30).collect();
-        assert_eq!(best_split_for_feature(&xs, &ys, &indices, 0), None);
-        let (_, gain) = best_split_for_feature(&xs, &ys, &indices, 1).expect("feature 1 separates");
+        assert_eq!(prefix_sum_best_split(&xs, &ys, &indices, 0), None);
+        let (_, gain) = prefix_sum_best_split(&xs, &ys, &indices, 1).expect("feature 1 separates");
         assert!(gain > 0.0);
     }
 
@@ -654,6 +823,245 @@ mod tests {
         assert_eq!(batch.len(), xs.len());
         for (x, b) in xs.iter().zip(&batch) {
             assert_eq!(gbt.predict(x).to_bits(), b.to_bits());
+        }
+    }
+
+    /// The per-node-sort builder the presorted one replaced, kept
+    /// (single-threaded) as the equivalence reference: every node re-sorts
+    /// `(value, target)` pairs per feature and trees are boxed.
+    mod reference {
+        use crate::gbt::GbtParams;
+        use rand::Rng;
+
+        #[derive(Clone)]
+        enum Node {
+            Leaf(f64),
+            Split {
+                feature: usize,
+                threshold: f64,
+                left: Box<Node>,
+                right: Box<Node>,
+            },
+        }
+
+        impl Node {
+            fn predict(&self, x: &[f64]) -> f64 {
+                match self {
+                    Node::Leaf(v) => *v,
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left,
+                        right,
+                    } => {
+                        if x[*feature] <= *threshold {
+                            left.predict(x)
+                        } else {
+                            right.predict(x)
+                        }
+                    }
+                }
+            }
+        }
+
+        #[derive(Clone)]
+        pub struct Forest {
+            base: f64,
+            trees: Vec<Node>,
+            params: GbtParams,
+        }
+
+        impl Forest {
+            pub fn fit<R: Rng + ?Sized>(xs: &[Vec<f64>], ys: &[f64], params: GbtParams, rng: &mut R) -> Self {
+                let base = ys.iter().sum::<f64>() / ys.len() as f64;
+                let mut residuals: Vec<f64> = ys.iter().map(|y| y - base).collect();
+                let mut forest = Self {
+                    base,
+                    trees: Vec::new(),
+                    params,
+                };
+                forest.boost(xs, &mut residuals, params.trees, rng);
+                forest
+            }
+
+            pub fn fit_incremental<R: Rng + ?Sized>(&self, xs: &[Vec<f64>], ys: &[f64], extra_trees: usize, rng: &mut R) -> Self {
+                let mut residuals: Vec<f64> = ys.iter().zip(xs).map(|(y, x)| y - self.predict(x)).collect();
+                let mut forest = self.clone();
+                forest.boost(xs, &mut residuals, extra_trees, rng);
+                forest
+            }
+
+            fn boost<R: Rng + ?Sized>(&mut self, xs: &[Vec<f64>], residuals: &mut [f64], rounds: usize, rng: &mut R) {
+                let indices: Vec<usize> = (0..xs.len()).collect();
+                for _ in 0..rounds {
+                    let tree = build_tree(xs, residuals, &indices, self.params.max_depth, &self.params, rng);
+                    for (r, x) in residuals.iter_mut().zip(xs) {
+                        *r -= self.params.learning_rate * tree.predict(x);
+                    }
+                    self.trees.push(tree);
+                }
+            }
+
+            pub fn predict(&self, x: &[f64]) -> f64 {
+                self.base + self.params.learning_rate * self.trees.iter().map(|t| t.predict(x)).sum::<f64>()
+            }
+
+            pub fn len(&self) -> usize {
+                self.trees.len()
+            }
+
+            pub fn root_split(&self, t: usize) -> Option<(usize, f64)> {
+                match &self.trees[t] {
+                    Node::Leaf(_) => None,
+                    Node::Split { feature, threshold, .. } => Some((*feature, *threshold)),
+                }
+            }
+        }
+
+        fn build_tree<R: Rng + ?Sized>(
+            xs: &[Vec<f64>],
+            targets: &[f64],
+            indices: &[usize],
+            depth: usize,
+            params: &GbtParams,
+            rng: &mut R,
+        ) -> Node {
+            let n = indices.len();
+            let mean: f64 = indices.iter().map(|&i| targets[i]).sum::<f64>() / n.max(1) as f64;
+            if depth == 0 || n < params.min_samples_split {
+                return Node::Leaf(mean);
+            }
+            let width = xs[0].len();
+            let included: Vec<bool> = (0..width)
+                .map(|_| !(params.feature_fraction < 1.0 && rng.gen::<f64>() > params.feature_fraction))
+                .collect();
+            let mut best: Option<(usize, f64, f64)> = None;
+            for feature in (0..width).filter(|&f| included[f]) {
+                if let Some((threshold, gain)) = best_split_for_feature(xs, targets, indices, feature) {
+                    if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
+                        best = Some((feature, threshold, gain));
+                    }
+                }
+            }
+            match best {
+                None => Node::Leaf(mean),
+                Some((feature, threshold, _)) => {
+                    let (left_idx, right_idx): (Vec<usize>, Vec<usize>) = indices.iter().partition(|&&i| xs[i][feature] <= threshold);
+                    let left = build_tree(xs, targets, &left_idx, depth - 1, params, rng);
+                    let right = build_tree(xs, targets, &right_idx, depth - 1, params, rng);
+                    Node::Split {
+                        feature,
+                        threshold,
+                        left: Box::new(left),
+                        right: Box::new(right),
+                    }
+                }
+            }
+        }
+
+        fn best_split_for_feature(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
+            let n = indices.len();
+            let mut pairs: Vec<(f64, f64)> = indices.iter().map(|&i| (xs[i][feature], targets[i])).collect();
+            pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut prefix_sum = vec![0.0f64; n + 1];
+            let mut prefix_sq = vec![0.0f64; n + 1];
+            let mut runs: Vec<(f64, usize)> = Vec::new();
+            for (i, &(v, t)) in pairs.iter().enumerate() {
+                prefix_sum[i + 1] = prefix_sum[i] + t;
+                prefix_sq[i + 1] = prefix_sq[i] + t * t;
+                match runs.last_mut() {
+                    Some(run) if run.0 == v => run.1 = i + 1,
+                    _ => runs.push((v, i + 1)),
+                }
+            }
+            if runs.len() < 2 {
+                return None;
+            }
+            let total_sum = prefix_sum[n];
+            let total_sq = prefix_sq[n];
+            let parent_sse = total_sq - total_sum * total_sum / n as f64;
+            let step = (runs.len() / 16).max(1);
+            let mut best: Option<(f64, f64)> = None;
+            for j in (0..runs.len() - 1).step_by(step) {
+                let threshold = (runs[j].0 + runs[j + 1].0) / 2.0;
+                let p = runs[j].1;
+                let left_sum = prefix_sum[p];
+                let left_sse = prefix_sq[p] - left_sum * left_sum / p as f64;
+                let right_sum = total_sum - left_sum;
+                let right_sse = (total_sq - prefix_sq[p]) - right_sum * right_sum / (n - p) as f64;
+                let gain = parent_sse - (left_sse + right_sse);
+                if best.is_none_or(|(_, g)| gain > g) {
+                    best = Some((threshold, gain));
+                }
+            }
+            best
+        }
+    }
+
+    const MIXED_WIDTH: usize = 10;
+
+    /// Rows whose columns cover what the tuners fit: continuous, 2–10
+    /// distinct values, constant, mixed `-0.0`/`0.0` (alone and with a
+    /// third value), and a duplicate column whose gains tie an earlier one.
+    fn mixed_columns(rows: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let levels: Vec<u32> = (0..3).map(|_| rng.gen_range(2..=10)).collect();
+        let xs: Vec<Vec<f64>> = (0..rows)
+            .map(|_| {
+                let c = rng.gen_range(-1.0..1.0);
+                let d: Vec<f64> = levels.iter().map(|&k| f64::from(rng.gen_range(0..k))).collect();
+                let zero = if rng.gen::<bool>() { -0.0 } else { 0.0 };
+                let signed = [-0.0, 0.0, 1.0][rng.gen_range(0..3usize)];
+                vec![c, d[0], 7.5, d[1], zero, signed, rng.gen_range(0.0..1.0), d[2], d[0], -c]
+            })
+            .collect();
+        let ys = xs
+            .iter()
+            .map(|x| 2.0 * x[0] + 0.3 * x[1] - x[3] * x[6] + x[5] + 0.1 * x[7] + rng.gen_range(-0.05..0.05))
+            .collect();
+        (xs, ys)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn presorted_builder_matches_per_node_sort_reference(
+            rows in 4usize..600,
+            above_fan_out in 0usize..3,
+            seed in 0u64..1_000_000,
+        ) {
+            // Row counts straddle both fan-outs: a third of the cases put the
+            // root above the split search's PARALLEL_SPLIT_CELLS, and the rest
+            // straddle the warm start's PARALLEL_PREDICT_ROWS.
+            let rows = if above_fan_out == 0 { rows + PARALLEL_SPLIT_CELLS / MIXED_WIDTH } else { rows };
+            let (xs, ys) = mixed_columns(rows, seed);
+            let params = GbtParams {
+                trees: 4,
+                feature_fraction: 0.8,
+                ..GbtParams::default()
+            };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let reference = reference::Forest::fit(&xs, &ys, params, &mut rng);
+            let reference_grown = reference.fit_incremental(&xs, &ys, 3, &mut rng);
+            for threads in [1, 2, 8] {
+                crate::parallel::set_default_threads(threads);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let fitted = Gbt::fit(&xs, &ys, params, &mut rng);
+                let grown = fitted.fit_incremental(&xs, &ys, 3, &mut rng);
+                crate::parallel::set_default_threads(0);
+                for (ours, theirs) in [(&fitted, &reference), (&grown, &reference_grown)] {
+                    prop_assert_eq!(ours.len(), theirs.len());
+                    for t in 0..ours.len() {
+                        let bits = |split: Option<(usize, f64)>| split.map(|(f, threshold)| (f, threshold.to_bits()));
+                        prop_assert_eq!(bits(ours.root_split(t)), bits(theirs.root_split(t)));
+                    }
+                    for x in &xs {
+                        prop_assert_eq!(ours.predict(x).to_bits(), theirs.predict(x).to_bits());
+                    }
+                }
+            }
         }
     }
 }

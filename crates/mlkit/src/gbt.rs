@@ -19,13 +19,14 @@
 //! keeps only the cumulative `(value, count, sum, sum²)` record at the end of
 //! each run of equal values; the candidate thresholds are midpoints between
 //! consecutive runs, strided so at most ~16 are scored, each in O(1). The
-//! per-feature sweeps fan out across worker threads via [`crate::parallel`]
-//! on large nodes. Feature-subsampling coin flips are drawn *before* the
-//! fan-out, so the fitted ensemble is bit-identical at every thread count.
+//! sweeps run inline, one feature after another, sharing one run buffer:
+//! the tree builder never spawns threads, so the fitted ensemble is the same
+//! at every thread count.
 //!
 //! **Flat forests.** All trees live in one pre-order node vector (a split's
-//! left child is the node after it), so prediction walks an array and a warm
-//! start clones one allocation.
+//! left child is the node after it), so a warm start clones one allocation
+//! rather than one per node. Prediction costs what it did with boxed nodes:
+//! each step waits on a data-dependent compare, wherever the node lives.
 //!
 //! [`Gbt::fit_incremental`] warm-starts boosting from an existing forest:
 //! new trees are fitted to the residuals of the current predictions, so a
@@ -34,7 +35,7 @@
 //! `AsRef<[f64]>` (plain `Vec<f64>` or shared `Arc<[f64]>` rows from a
 //! feature cache) so callers never have to clone feature matrices to fit.
 
-use crate::parallel::{parallel_map, parallel_map_range, Threads};
+use crate::parallel::{parallel_map, Threads};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -91,12 +92,6 @@ pub struct Gbt {
     params: GbtParams,
 }
 
-/// Below this many (sample × feature) cells a node's split search runs
-/// inline: thread fan-out costs more than it saves on small nodes. On a
-/// 2-vCPU host the inline sweep beat the fan-out at every node size up to
-/// 16 000 × 16 cells, so every tuner fit (a few hundred rows × ≤ 28
-/// features) stays inline.
-const PARALLEL_SPLIT_CELLS: usize = 256 * 1024;
 /// Minimum batch size before predictions fan out across workers.
 const PARALLEL_PREDICT_ROWS: usize = 256;
 
@@ -265,7 +260,7 @@ struct TreeBuilder<'p> {
     goes_left: Vec<bool>,
     /// Right-hand rows of a segment being partitioned.
     scratch: Vec<u32>,
-    /// Run-end records of the sequential split sweep.
+    /// Run-end records of the split sweep, shared by every feature.
     runs: Vec<RunEnd>,
     /// Each training row's prediction under the last tree built.
     fitted: Vec<f64>,
@@ -349,38 +344,18 @@ impl<'p> TreeBuilder<'p> {
     /// The best `(feature, threshold)` for the node owning `[lo, hi)`, if
     /// any split gains more than 1e-12.
     fn best_split<R: Rng + ?Sized>(&mut self, targets: &[f64], lo: usize, hi: usize, rng: &mut R) -> Option<(usize, f64)> {
-        let Self {
-            params,
-            rows,
-            width,
-            cols,
-            orders,
-            runs,
-            ..
-        } = self;
-        let (rows, width) = (*rows, *width);
-        // Feature-subsampling coin flips happen before the parallel fan-out so
-        // the RNG stream (and thus the fitted model) is thread-count invariant.
-        let fraction = params.feature_fraction;
-        let included: Vec<bool> = (0..width).map(|_| !(fraction < 1.0 && rng.gen::<f64>() > fraction)).collect();
-        let column = |f: usize| (&cols[f * rows..(f + 1) * rows], &orders[f * rows + lo..f * rows + hi]);
-        let per_feature: Vec<Option<(f64, f64)>> = if (hi - lo) * width >= PARALLEL_SPLIT_CELLS {
-            parallel_map_range(Threads::AUTO, width, |f| {
-                let (values, order) = column(f);
-                included[f].then(|| sweep(values, order, targets, &mut Vec::new())).flatten()
-            })
-        } else {
-            (0..width)
-                .map(|f| {
-                    let (values, order) = column(f);
-                    included[f].then(|| sweep(values, order, targets, runs)).flatten()
-                })
-                .collect()
-        };
-        // Reduce with the legacy tie-break: earliest feature wins on equal gain.
+        let rows = self.rows;
+        let fraction = self.params.feature_fraction;
+        // Earliest feature wins on equal gain.
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, gain)
-        for (feature, candidate) in per_feature.into_iter().enumerate() {
-            if let Some((threshold, gain)) = candidate {
+        for feature in 0..self.width {
+            // Feature subsampling: one coin flip per feature, in order.
+            if fraction < 1.0 && rng.gen::<f64>() > fraction {
+                continue;
+            }
+            let values = &self.cols[feature * rows..(feature + 1) * rows];
+            let order = &self.orders[feature * rows + lo..feature * rows + hi];
+            if let Some((threshold, gain)) = sweep(values, order, targets, &mut self.runs) {
                 if best.is_none_or(|(_, _, g)| gain > g) && gain > 1e-12 {
                     best = Some((feature, threshold, gain));
                 }
@@ -998,8 +973,6 @@ mod tests {
         }
     }
 
-    const MIXED_WIDTH: usize = 10;
-
     /// Rows whose columns cover what the tuners fit: continuous, 2–10
     /// distinct values, constant, mixed `-0.0`/`0.0` (alone and with a
     /// third value), and a duplicate column whose gains tie an earlier one.
@@ -1029,13 +1002,10 @@ mod tests {
         #[test]
         fn presorted_builder_matches_per_node_sort_reference(
             rows in 4usize..600,
-            above_fan_out in 0usize..3,
             seed in 0u64..1_000_000,
         ) {
-            // Row counts straddle both fan-outs: a third of the cases put the
-            // root above the split search's PARALLEL_SPLIT_CELLS, and the rest
-            // straddle the warm start's PARALLEL_PREDICT_ROWS.
-            let rows = if above_fan_out == 0 { rows + PARALLEL_SPLIT_CELLS / MIXED_WIDTH } else { rows };
+            // Row counts straddle the warm start's PARALLEL_PREDICT_ROWS, the
+            // one fan-out a fit reaches.
             let (xs, ys) = mixed_columns(rows, seed);
             let params = GbtParams {
                 trees: 4,

@@ -5,22 +5,27 @@
 //! * hardware-aware sampler on/off, and a τ sweep (paper fixed τ = 1/3 by
 //!   grid search)
 //! * Blueprint dimensionality (ties to Fig. 8)
+//!
+//! A component is switched off the way a fault plan does it: by injecting
+//! its fallback rung into the resolved artifacts.
 
 use glimpse_bench::e2e::ARTIFACT_SEED;
 use glimpse_bench::experiment::{cached_artifacts, cached_artifacts_with, oracle_best_gflops};
 use glimpse_bench::report;
 use glimpse_core::artifacts::TrainingOptions;
+use glimpse_core::health::ResolvedArtifacts;
 use glimpse_core::tuner::{GlimpseConfig, GlimpseTuner};
 use glimpse_gpu_spec::database;
 use glimpse_mlkit::stats::geomean;
 use glimpse_sim::Measurer;
 use glimpse_space::templates;
+use glimpse_supervise::Component;
 use glimpse_tensor_prog::models;
 use glimpse_tuners::{Budget, TuneContext, Tuner, TuningOutcome};
 
 const BUDGET: usize = 192;
 
-fn run(config: GlimpseConfig, artifacts: &glimpse_core::GlimpseArtifacts, gpu_name: &str, seed: u64) -> Vec<TuningOutcome> {
+fn run(config: GlimpseConfig, resolved: &ResolvedArtifacts, gpu_name: &str, seed: u64) -> Vec<TuningOutcome> {
     let gpu = database::find(gpu_name).unwrap();
     let model = models::resnet18();
     // A representative slice of tasks (conv stride-1, conv stride-2, 1x1, dense).
@@ -32,7 +37,7 @@ fn run(config: GlimpseConfig, artifacts: &glimpse_core::GlimpseArtifacts, gpu_na
             let space = templates::space_for_task(task);
             let mut measurer = Measurer::new(gpu.clone(), seed);
             let ctx = TuneContext::new(task, &space, &mut measurer, Budget::measurements(BUDGET), seed);
-            GlimpseTuner::with_config(artifacts, gpu, config).tune(ctx)
+            GlimpseTuner::from_resolved(resolved, gpu, config).tune(ctx)
         })
         .collect()
 }
@@ -53,7 +58,7 @@ fn summarize(name: &str, outcomes: &[TuningOutcome], oracles: &[f64]) -> Vec<Str
 fn main() {
     let gpu_name = "RTX 2080 Ti";
     let gpu = database::find(gpu_name).unwrap();
-    let artifacts = cached_artifacts(gpu, ARTIFACT_SEED);
+    let healthy = ResolvedArtifacts::healthy(cached_artifacts(gpu, ARTIFACT_SEED));
     let model = models::resnet18();
     let picks = [1usize, 3, 4, 16];
     let oracles: Vec<f64> = picks.iter().map(|&i| oracle_best_gflops(gpu, &model.tasks()[i], 5)).collect();
@@ -62,49 +67,22 @@ fn main() {
     println!("Ablation — component contributions on {gpu_name} (budget {BUDGET} measurements/task)\n");
     let mut rows = Vec::new();
     let base = GlimpseConfig::default();
-    rows.push(summarize("Glimpse (full)", &run(base, &artifacts, gpu_name, 3), &oracles));
-    rows.push(summarize(
-        "  - prior H (uniform init)",
-        &run(GlimpseConfig { use_prior: false, ..base }, &artifacts, gpu_name, 3),
-        &oracles,
-    ));
-    rows.push(summarize(
-        "  - neural acquisition (raw surrogate)",
-        &run(
-            GlimpseConfig {
-                use_acquisition: false,
-                ..base
-            },
-            &artifacts,
-            gpu_name,
-            3,
-        ),
-        &oracles,
-    ));
-    rows.push(summarize(
-        "  - hardware-aware sampler",
-        &run(
-            GlimpseConfig {
-                use_sampler: false,
-                ..base
-            },
-            &artifacts,
-            gpu_name,
-            3,
-        ),
-        &oracles,
-    ));
+    rows.push(summarize("Glimpse (full)", &run(base, &healthy, gpu_name, 3), &oracles));
+    for (name, component) in [
+        ("  - prior H (uniform init)", Component::Prior),
+        ("  - neural acquisition (raw surrogate)", Component::Acquisition),
+        ("  - hardware-aware sampler", Component::Sampler),
+    ] {
+        let ablated = healthy.clone().with_injected(component);
+        rows.push(summarize(name, &run(base, &ablated, gpu_name, 3), &oracles));
+    }
     println!("{}", report::table(&headers, &rows));
 
     println!("τ sweep (paper grid search settled on τ = 1/3):\n");
     let mut tau_rows = Vec::new();
     for tau in [0.0, 1.0 / 6.0, 1.0 / 3.0, 0.5, 0.8] {
         let config = GlimpseConfig { tau, ..base };
-        tau_rows.push(summarize(
-            &format!("tau = {tau:.2}"),
-            &run(config, &artifacts, gpu_name, 4),
-            &oracles,
-        ));
+        tau_rows.push(summarize(&format!("tau = {tau:.2}"), &run(config, &healthy, gpu_name, 4), &oracles));
     }
     println!("{}", report::table(&headers, &tau_rows));
 
@@ -118,7 +96,7 @@ fn main() {
         let arts = cached_artifacts_with(gpu, options, ARTIFACT_SEED, &format!("dim{dim}"));
         dim_rows.push(summarize(
             &format!("blueprint dim = {dim}"),
-            &run(base, &arts, gpu_name, 5),
+            &run(base, &ResolvedArtifacts::healthy(arts), gpu_name, 5),
             &oracles,
         ));
     }

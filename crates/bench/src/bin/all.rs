@@ -9,8 +9,6 @@ fn main() {
         "table1",
         "fig8",
         "fig1",
-        "fig2",
-        "fig3",
         "fig4",
         "fig6",
         "fig7",

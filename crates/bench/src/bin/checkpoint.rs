@@ -13,6 +13,7 @@
 //! checkpoint [--quick] [--out <path>]
 //! ```
 
+use glimpse_bench::timing::time_best_of;
 use glimpse_gpu_spec::database;
 use glimpse_sim::Measurer;
 use glimpse_space::templates;
@@ -24,24 +25,6 @@ use glimpse_tuners::journal::{self, Snapshot};
 use glimpse_tuners::{run_checkpointed, run_supervised, Budget, CheckpointSpec, RunControl, TrialRecord, TuneContext, Tuner};
 use serde_json::json;
 use std::path::PathBuf;
-use std::time::Instant;
-
-/// Wall-clock seconds of the fastest of `reps` runs of `f` (best-of to
-/// shave scheduler noise; the first run warms caches).
-// Benchmark harness: this binary's whole purpose is timing, so the D1
-// wall-clock ban does not apply (crates/bench is the sanctioned home).
-#[allow(clippy::disallowed_methods)]
-fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("at least one rep"))
-}
 
 /// A scratch directory that is removed when dropped.
 struct Scratch(PathBuf);

@@ -20,6 +20,7 @@
 //! search_throughput [--quick] [--out <path>]
 //! ```
 
+use glimpse_bench::timing::time_best_of;
 use glimpse_gpu_spec::database;
 use glimpse_mlkit::gbt::{prefix_sum_best_split, two_pass_best_split, Gbt, GbtParams};
 use glimpse_mlkit::gp::{GaussianProcess, RbfKernel};
@@ -37,23 +38,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde_json::json;
 use std::time::Instant;
-
-/// Wall-clock seconds of the fastest of `reps` runs of `f` (best-of to
-/// shave scheduler noise; the first run warms caches).
-// Benchmark harness: this binary's whole purpose is timing, so the D1
-// wall-clock ban does not apply (crates/bench is the sanctioned home).
-#[allow(clippy::disallowed_methods)]
-fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let r = f();
-        best = best.min(start.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("at least one rep"))
-}
 
 /// Wall-clock seconds of a single run of `f` — for stateful subjects
 /// (e.g. a surrogate's `fit`) where repetition would change the work done.

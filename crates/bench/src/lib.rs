@@ -16,5 +16,6 @@
 pub mod e2e;
 pub mod experiment;
 pub mod report;
+pub mod timing;
 
 pub use experiment::{BudgetMode, ModelGpuResult, TaskRun, TunerKind};

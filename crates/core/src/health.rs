@@ -75,8 +75,9 @@ impl ResolvedArtifacts {
         }
     }
 
-    /// Forces `component` onto its fallback rung (chaos testing and the
-    /// ablation-style degradation matrix). Dependents of the blueprint
+    /// Forces `component` onto its fallback rung: the one switch chaos
+    /// testing, the degradation matrix and the component ablations all use
+    /// to turn a learned component off. Dependents of the blueprint
     /// codec are demoted with it: without an embedding there is nothing
     /// for the prior, acquisition, or sampler to condition on.
     #[must_use]

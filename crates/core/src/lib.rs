@@ -52,7 +52,6 @@ pub mod blueprint;
 pub mod corpus;
 pub mod explain;
 pub mod health;
-pub mod multi;
 pub mod prior;
 pub mod sampler;
 pub mod tuner;

@@ -9,8 +9,9 @@
 //!     measure Xs_sampled on real hardware; update f̂
 //! ```
 //!
-//! The three ablation switches in [`GlimpseConfig`] turn each contribution
-//! off independently (used by the ablation harness).
+//! Each contribution is switched off by putting its component on its
+//! fallback rung ([`ResolvedArtifacts::with_injected`]): the ablation
+//! harness and the degradation matrix share that one mechanism.
 
 use crate::artifacts::GlimpseArtifacts;
 use crate::blueprint::Blueprint;
@@ -26,7 +27,7 @@ use glimpse_tuners::{TuneContext, Tuner, TuningOutcome};
 use rand::Rng;
 use std::collections::BTreeMap;
 
-/// Glimpse hyperparameters and ablation switches.
+/// Glimpse hyperparameters.
 #[derive(Debug, Clone, Copy)]
 pub struct GlimpseConfig {
     /// Initial measurements drawn from the prior.
@@ -43,12 +44,6 @@ pub struct GlimpseConfig {
     pub ensemble_members: usize,
     /// Rejection threshold τ (paper: 1/3 by grid search).
     pub tau: f64,
-    /// Ablation: use the prior generator `H` for initialization.
-    pub use_prior: bool,
-    /// Ablation: use the neural acquisition (else raw surrogate energy).
-    pub use_acquisition: bool,
-    /// Ablation: use hardware-aware sampling.
-    pub use_sampler: bool,
 }
 
 impl Default for GlimpseConfig {
@@ -61,9 +56,6 @@ impl Default for GlimpseConfig {
             sa_patience: 16,
             ensemble_members: DEFAULT_MEMBERS,
             tau: DEFAULT_TAU,
-            use_prior: true,
-            use_acquisition: true,
-            use_sampler: true,
         }
     }
 }
@@ -158,7 +150,7 @@ impl<'a> GlimpseTuner<'a> {
 
     /// Whether the prior net is usable on this run (rung 0 + bundle).
     fn prior_available(&self) -> bool {
-        self.config.use_prior && self.artifacts.is_some() && self.health.rung(Component::Prior) == 0
+        self.artifacts.is_some() && self.health.rung(Component::Prior) == 0
     }
 }
 
@@ -197,9 +189,9 @@ impl Tuner for GlimpseTuner<'_> {
         };
         let acquisition = self
             .artifacts
-            .filter(|_| self.config.use_acquisition && self.health.rung(Component::Acquisition) == 0)
+            .filter(|_| self.health.rung(Component::Acquisition) == 0)
             .map(|a| a.acquisition(template));
-        let sampler = if self.config.use_sampler { self.sampler.as_ref() } else { None };
+        let sampler = self.sampler.as_ref();
 
         // Initial batch from the prior distributions (Algorithm 1, line 1),
         // filtered by the hardware-aware sampler.
@@ -437,14 +429,8 @@ mod tests {
     #[test]
     fn ablation_switches_change_behavior() {
         let full = run_glimpse(GlimpseConfig::default(), 64, 4);
-        let no_sampler = run_glimpse(
-            GlimpseConfig {
-                use_sampler: false,
-                ..GlimpseConfig::default()
-            },
-            64,
-            4,
-        );
+        let resolved = crate::health::ResolvedArtifacts::healthy(artifacts().clone()).with_injected(Component::Sampler);
+        let no_sampler = run_resolved(&resolved, 64, 4);
         // Without the sampler, invalid measurements cannot decrease.
         assert!(no_sampler.invalid_measurements >= full.invalid_measurements);
     }
@@ -502,6 +488,17 @@ mod tests {
         assert!(outcome.surrogate.is_none(), "injected cost-model fault switches to history-rank");
         let health = outcome.health.expect("health attached");
         assert_eq!(health.degraded_names(), vec!["cost-model"]);
+
+        // Prior and acquisition injections (the component ablations) fall
+        // back on their own ladder and keep the surrogate.
+        for component in [Component::Prior, Component::Acquisition] {
+            let resolved = crate::health::ResolvedArtifacts::healthy(artifacts().clone()).with_injected(component);
+            let outcome = run_resolved(&resolved, 32, 7);
+            assert_eq!(outcome.measurements, 32, "{component} injection still spends the budget");
+            assert!(outcome.surrogate.is_some(), "{component} injection keeps the GBT surrogate");
+            let health = outcome.health.expect("health attached");
+            assert_eq!(health.degraded_names(), vec![component.name()]);
+        }
 
         // A sampler-only injection keeps the surrogate but drops the ensemble.
         let resolved = crate::health::ResolvedArtifacts::healthy(artifacts().clone()).with_injected(Component::Sampler);

@@ -123,7 +123,8 @@ pub enum HealthCause {
         /// Name of the degraded dependency.
         dependency: String,
     },
-    /// Degradation forced by a fault-injection plan (chaos testing).
+    /// Degradation forced on purpose: a fault-injection plan (chaos
+    /// testing) or an ablation switching the component off.
     Injected,
 }
 
@@ -137,7 +138,7 @@ impl fmt::Display for HealthCause {
             HealthCause::Undecodable => write!(f, "artifact payload undecodable"),
             HealthCause::ValidationFailed { detail } => write!(f, "validation failed: {detail}"),
             HealthCause::DependencyDegraded { dependency } => write!(f, "dependency degraded: {dependency}"),
-            HealthCause::Injected => write!(f, "degradation injected by fault plan"),
+            HealthCause::Injected => write!(f, "degradation injected by fault plan or ablation"),
         }
     }
 }

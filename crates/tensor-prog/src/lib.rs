@@ -25,7 +25,6 @@ pub mod conv;
 pub mod dense;
 pub mod models;
 pub mod op;
-pub mod shape;
 pub mod task;
 
 pub use conv::Conv2dSpec;

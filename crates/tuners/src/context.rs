@@ -289,21 +289,6 @@ impl<'a> TuneContext<'a> {
         self.consume(trial)
     }
 
-    /// Folds an externally measured trial into this run's journal without
-    /// re-measuring (the measurer's clock already advanced when the trial
-    /// was taken — e.g. by a portfolio member sharing this measurer).
-    pub fn absorb(&mut self, trial: Trial) {
-        self.visited.insert(trial.config.indices().to_vec());
-        if let Some(record) = self.next_replayed(&trial.config) {
-            let _ = self.consume(record.trial);
-            return;
-        }
-        if !self.replay.is_empty() || !self.journal_live(&trial) {
-            return;
-        }
-        let _ = self.consume(trial);
-    }
-
     /// Serves the next replayed record, verifying the tuner asked for the
     /// configuration the journal recorded. On divergence, poisons the
     /// journal and drops the rest of the queue.

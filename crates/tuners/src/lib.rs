@@ -33,10 +33,7 @@ pub mod genetic;
 pub mod grid;
 pub mod history;
 pub mod journal;
-pub mod portfolio;
 pub mod random;
-pub mod replay;
-pub mod scheduler;
 
 pub use budget::Budget;
 pub use context::{RunControl, TuneContext, Tuner, TuningOutcome};

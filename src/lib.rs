@@ -23,8 +23,8 @@ pub use glimpse_tensor_prog as tensor_prog;
 /// Schedule template search spaces and feature extraction.
 pub use glimpse_space as space;
 
-/// The measurement simulator: oracle cost model, fault injection, device
-/// pools, and trace caching.
+/// The measurement simulator: oracle cost model, fault injection, and
+/// device pools.
 pub use glimpse_sim as sim;
 
 /// Small ML toolkit (GBT, k-means, ranking, linear algebra, statistics).

@@ -41,7 +41,7 @@ use std::time::Instant;
 
 /// Wall-clock seconds of a single run of `f` — for stateful subjects
 /// (e.g. a surrogate's `fit`) where repetition would change the work done.
-#[allow(clippy::disallowed_methods)]
+#[allow(clippy::disallowed_methods, reason = "D1 does not apply: crates/bench is the sanctioned home of wall-clock timing")]
 fn time_once<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
     let r = f();

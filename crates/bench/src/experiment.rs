@@ -203,7 +203,7 @@ pub fn oracle_best_gflops(gpu: &GpuSpec, task: &Task, seed: u64) -> f64 {
 }
 
 /// Runs one tuner on one task.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one knob per experiment axis")]
 #[must_use]
 pub fn run_task(
     kind: TunerKind,

@@ -5,9 +5,7 @@ use std::time::Instant;
 /// Wall-clock seconds of the fastest of `reps` runs of `f` (best-of to
 /// shave scheduler noise; the first run warms caches), with the last
 /// run's result.
-// Benchmark harness: timing is its whole purpose, so the D1 wall-clock
-// ban does not apply (crates/bench is the sanctioned home).
-#[allow(clippy::disallowed_methods)]
+#[allow(clippy::disallowed_methods, reason = "D1 does not apply: crates/bench is the sanctioned home of wall-clock timing")]
 pub fn time_best_of<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
     let mut out = None;

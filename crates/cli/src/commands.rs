@@ -897,7 +897,7 @@ fn parse_experiment_options(args: &[String]) -> Result<ExperimentOptions, String
 
 /// Runs one fleet cell — the pass-1 assignment or a reassigned retry — on
 /// the device whose [`Measurer`] is handed in by the pool.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one fleet cell needs the whole campaign context")]
 fn run_experiment_cell(
     options: &ExperimentOptions,
     supervisor: &Supervisor,

@@ -1,8 +1,6 @@
 //! End-to-end tests of the `glimpse` binary (spawned as a subprocess).
 
-// Tests write throwaway fixture files; the IO1 atomic-write contract covers
-// product code, not test scaffolding.
-#![allow(clippy::disallowed_methods)]
+#![allow(clippy::disallowed_methods, reason = "IO1 covers product code: these tests write throwaway fixture files")]
 
 use std::process::Command;
 

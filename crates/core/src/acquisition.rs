@@ -63,6 +63,21 @@ impl NeuralAcquisition {
         self.template
     }
 
+    /// Checks a decoded acquisition's shape against what tuning feeds it: a
+    /// well-formed net for `template` that takes padded features, μ̂, t/T
+    /// and a `blueprint_dim`-wide Blueprint, and emits one score.
+    pub(crate) fn check_shape(&self, template: TemplateKind, blueprint_dim: usize) -> Result<(), String> {
+        self.mlp.check_shape()?;
+        let found = (self.template, self.blueprint_dim, self.mlp.input_width(), self.mlp.output_width());
+        let needed = (template, blueprint_dim, PADDED_FEATURES + 2 + blueprint_dim, 1);
+        if found != needed {
+            return Err(format!(
+                "(template, Blueprint width, inputs, outputs) is {found:?}, tuning needs {needed:?}"
+            ));
+        }
+        Ok(())
+    }
+
     fn input(&self, features: &[f64], mu_gflops: f64, t_frac: f64, blueprint: &Blueprint) -> Vec<f64> {
         assert_eq!(blueprint.len(), self.blueprint_dim, "blueprint width mismatch");
         let mut x = features.to_vec();

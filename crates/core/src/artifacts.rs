@@ -7,6 +7,8 @@
 //! hardware-aware optimization strategy ingrained in the Hardware-Aware
 //! Exploration module."
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::acquisition::NeuralAcquisition;
 use crate::blueprint::{Blueprint, BlueprintCodec, CodecError};
 use crate::corpus::{self, CorpusEntry};
@@ -231,18 +233,36 @@ impl GlimpseArtifacts {
     }
 
     /// Loads artifacts persisted by [`GlimpseArtifacts::save`], verifying
-    /// the envelope first. Total over arbitrary bytes: a torn, corrupted,
-    /// or drifted file is a typed [`ArtifactLoadError`], never a panic.
+    /// the envelope first and the decoded shapes last. Total over arbitrary
+    /// bytes: a torn, corrupted, drifted or malformed file is a typed
+    /// [`ArtifactLoadError`], never a panic now or later in a tune.
     ///
     /// # Errors
     ///
     /// [`ArtifactLoadError::Damaged`] when the envelope does not verify,
     /// [`ArtifactLoadError::Undecodable`] when the verified payload is not
-    /// an artifact bundle.
+    /// an artifact bundle or its shapes do not fit together.
     pub fn load(path: &std::path::Path) -> Result<Self, ArtifactLoadError> {
         let payload = envelope::read_envelope(path, ARTIFACTS_ENVELOPE).map_err(ArtifactLoadError::Damaged)?;
         let text = std::str::from_utf8(&payload).map_err(|e| ArtifactLoadError::Undecodable { detail: e.to_string() })?;
-        serde_json::from_str(text).map_err(|e| ArtifactLoadError::Undecodable { detail: e.to_string() })
+        let artifacts: Self = serde_json::from_str(text).map_err(|e| ArtifactLoadError::Undecodable { detail: e.to_string() })?;
+        artifacts
+            .check_shape()
+            .map_err(|detail| ArtifactLoadError::Undecodable { detail })?;
+        Ok(artifacts)
+    }
+
+    /// The shape check at the decode edge. A bundle whose CRC verifies can
+    /// still carry vectors of the wrong length, and tuning indexes them
+    /// without further checks. Only lengths are compared, never weights.
+    fn check_shape(&self) -> Result<(), String> {
+        self.codec.check_shape().map_err(|e| format!("codec: {e}"))?;
+        let dim = self.codec.components();
+        for ((kind, prior), acquisition) in TemplateKind::ALL.into_iter().zip(&self.priors).zip(&self.acquisitions) {
+            prior.check_shape(kind, dim).map_err(|e| format!("{kind} prior: {e}"))?;
+            acquisition.check_shape(kind, dim).map_err(|e| format!("{kind} acquisition: {e}"))?;
+        }
+        Ok(())
     }
 
     /// Classifies the artifact bundle at `path` for doctor output.
@@ -344,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // hand-writes a corrupt fixture
+    #[allow(clippy::disallowed_methods, reason = "IO1: hand-writes a corrupt fixture")]
     fn load_rejects_garbage_with_typed_error() {
         let path = std::env::temp_dir().join("glimpse-artifacts-garbage.json");
         std::fs::write(&path, "not json").unwrap();

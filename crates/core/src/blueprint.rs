@@ -8,6 +8,8 @@
 //! a Blueprint back into approximate data-sheet values (which is what the
 //! sampler's threshold predictors consume).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use glimpse_gpu_spec::{features, FeatureVector, GpuSpec, Normalizer};
 use glimpse_mlkit::pca::{total_variance, Pca};
 use serde::{Deserialize, Serialize};
@@ -145,6 +147,20 @@ impl BlueprintCodec {
             .iter()
             .find(|p| p.explained_variance >= 0.995)
             .map_or(features::FEATURE_COUNT, |p| p.components)
+    }
+
+    /// Checks a decoded codec's shape: the normalizer and the PCA agree
+    /// with each other and with the data-sheet feature width.
+    pub(crate) fn check_shape(&self) -> Result<(), String> {
+        self.pca.check_shape()?;
+        let widths = [self.normalizer.means().len(), self.normalizer.stds().len(), self.pca.input_width()];
+        if widths.iter().any(|&w| w != features::FEATURE_COUNT) {
+            return Err(format!(
+                "normalizer means, stds and PCA input widths {widths:?} differ from the {} data-sheet features",
+                features::FEATURE_COUNT
+            ));
+        }
+        Ok(())
     }
 
     /// Embedding dimensionality of this codec.

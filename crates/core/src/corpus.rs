@@ -7,6 +7,8 @@
 //! generator `H` and the neural acquisition function are meta-trained on —
 //! always excluding the evaluation target GPU (leave-one-out).
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use glimpse_durable::envelope::{self, EnvelopeSpec, Integrity};
 use glimpse_gpu_spec::GpuSpec;
 use glimpse_sim::PerfModel;

@@ -19,6 +19,8 @@
 //! weighted by Π f_k,*"); the initial measurement batch is the argmax
 //! combination plus weighted samples.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::blueprint::Blueprint;
 use crate::corpus::CorpusEntry;
 use glimpse_mlkit::mlp::{Activation, Mlp};
@@ -243,6 +245,26 @@ impl PriorNet {
     #[must_use]
     pub fn layout(&self) -> &HeadLayout {
         &self.layout
+    }
+
+    /// Checks a decoded generator's shape against what tuning feeds it: a
+    /// well-formed net for `template` that takes layer features plus a
+    /// `blueprint_dim`-wide Blueprint and emits one logit per head class.
+    pub(crate) fn check_shape(&self, template: TemplateKind, blueprint_dim: usize) -> Result<(), String> {
+        self.mlp.check_shape()?;
+        let found = (self.template, self.blueprint_dim, self.mlp.input_width(), self.mlp.output_width());
+        let needed = (
+            template,
+            blueprint_dim,
+            OpSpec::LAYER_FEATURE_COUNT + blueprint_dim,
+            self.layout.output_width(),
+        );
+        if found != needed {
+            return Err(format!(
+                "(template, Blueprint width, inputs, logits) is {found:?}, tuning needs {needed:?}"
+            ));
+        }
+        Ok(())
     }
 
     fn input(&self, op: &OpSpec, blueprint: &Blueprint) -> Vec<f64> {

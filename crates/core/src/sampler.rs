@@ -75,7 +75,8 @@ impl EnsembleSampler {
     /// # Panics
     ///
     /// Panics if `members == 0` or `tau` is outside `[0, 1)`.
-    // lint:boundary(PANICS) the codec decodes every feature it encodes, and the argument asserts guard the API edge, not a load path
+    // The codec decodes every feature it encodes, and the argument asserts
+    // guard the API edge, not a load path.
     #[must_use]
     pub fn from_blueprint(codec: &BlueprintCodec, blueprint: &Blueprint, members: usize, tau: f64) -> Self {
         assert!(members > 0, "ensemble needs at least one member");

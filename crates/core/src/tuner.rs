@@ -13,6 +13,8 @@
 //! fallback rung ([`ResolvedArtifacts::with_injected`]): the ablation
 //! harness and the degradation matrix share that one mechanism.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::artifacts::GlimpseArtifacts;
 use crate::blueprint::Blueprint;
 use crate::health::ResolvedArtifacts;

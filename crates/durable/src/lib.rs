@@ -3,8 +3,8 @@
 //! A Glimpse tuning run spends (simulated) GPU hours per (network, device)
 //! pair; losing the trial journal to a crash means restart-from-zero, and a
 //! bare `std::fs::write` can leave a torn file even on a clean run. This
-//! crate is the workspace's single sanctioned durable-IO module (lint rule
-//! IO1 forbids direct `std::fs::write`/`File::create` everywhere else):
+//! crate is the workspace's single sanctioned durable-IO module (rule IO1
+//! bans direct write handles everywhere else):
 //!
 //! * [`atomic_write`] — temp file + fsync + rename (+ parent-directory
 //!   fsync on Unix), so readers observe either the old bytes or the new
@@ -22,6 +22,7 @@
 //! dependencies) so every layer — `space` log files, `core` artifacts,
 //! `tuners` journals, `bench` reports — can route writes through it.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![forbid(unsafe_code)]
 
 pub mod envelope;
@@ -75,6 +76,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// untouched (a stale temp file may remain and is overwritten next time).
 pub fn atomic_write(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = temp_sibling(path);
+    #[allow(clippy::disallowed_methods, reason = "IO1: atomic_write is the sanctioned writer")]
     let mut file = std::fs::File::options().write(true).create(true).truncate(true).open(&tmp)?;
     file.write_all(bytes)?;
     file.sync_all()?;

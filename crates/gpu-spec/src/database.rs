@@ -10,6 +10,8 @@
 //! Numbers are transcribed from the public data sheets / the "List of Nvidia
 //! graphics processing units" the paper cites as [12].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::generation::Generation;
 use crate::spec::GpuSpec;
 use std::sync::OnceLock;

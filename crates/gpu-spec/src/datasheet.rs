@@ -23,11 +23,14 @@
 //! the generation's occupancy table, exactly like the built-in database;
 //! peak GFLOPS is derived as `2 × cores × boost` when not given.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::generation::Generation;
 use crate::spec::GpuSpec;
-// String-keyed scratch map inside a parser; never iterated for output, so
-// hash-order randomization cannot leak into results (D2 does not apply).
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "D2 does not apply: a string-keyed scratch map inside a parser, never iterated for output"
+)]
 use std::collections::HashMap;
 use std::fmt;
 
@@ -77,7 +80,7 @@ impl std::error::Error for ParseSheetError {}
 /// Returns [`ParseSheetError`] for malformed lines, missing/duplicate keys,
 /// unknown generations, or a sheet that fails [`GpuSpec::validate`].
 pub fn parse_sheet(text: &str) -> Result<GpuSpec, ParseSheetError> {
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "D2 does not apply: point lookups only, never iterated")]
     let mut fields: HashMap<String, String> = HashMap::new();
     for (i, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();

@@ -232,7 +232,8 @@ impl Gbt {
 }
 
 /// A row or node position as stored in the `u32` orders and node links.
-// lint:boundary(PANICS) 2^32 rows or nodes would need tens of GB of presorted columns or nodes; past that, the fit cannot run at all
+// 2^32 rows or nodes would need tens of GB of presorted columns or nodes;
+// past that, the fit cannot run at all.
 fn node_index(i: usize) -> u32 {
     u32::try_from(i).expect("GBT row and node counts fit in u32")
 }

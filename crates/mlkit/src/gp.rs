@@ -136,7 +136,7 @@ impl GaussianProcess {
         let mut v = vec![0.0; n];
         for i in 0..n {
             let mut sum = ks[i];
-            #[allow(clippy::needless_range_loop)] // triangular solve: `j` indexes both `l` and `v`
+            #[allow(clippy::needless_range_loop, reason = "triangular solve: `j` indexes both `l` and `v`")]
             for j in 0..i {
                 sum -= self.l[(i, j)] * v[j];
             }

@@ -22,8 +22,7 @@
 //! Everything is implemented on `f64` slices with seeded [`rand`] RNGs so
 //! that every experiment in the reproduction is deterministic.
 
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod gbt;
 pub mod gp;

@@ -61,6 +61,16 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
+    /// Checks that the buffer holds exactly `rows × cols` values (a decoded
+    /// matrix's fields arrive independently).
+    pub(crate) fn check_shape(&self) -> Result<(), String> {
+        if self.rows.checked_mul(self.cols) == Some(self.data.len()) {
+            Ok(())
+        } else {
+            Err(format!("{}x{} matrix holds {} values", self.rows, self.cols, self.data.len()))
+        }
+    }
+
     /// Number of rows.
     #[must_use]
     pub fn rows(&self) -> usize {
@@ -312,6 +322,17 @@ impl std::error::Error for LinalgError {}
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn check_shape_rejects_a_torn_buffer() {
+        assert_eq!(Matrix::zeros(2, 5).check_shape(), Ok(()));
+        let torn = Matrix {
+            rows: 2,
+            cols: 5,
+            data: vec![0.0; 9],
+        };
+        assert!(torn.check_shape().is_err());
+    }
 
     #[test]
     fn matmul_matches_hand_example() {

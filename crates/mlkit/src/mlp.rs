@@ -72,6 +72,20 @@ impl Dense {
         }
     }
 
+    /// Checks that every buffer is as long as `rows × cols` implies.
+    fn check_shape(&self) -> Result<(), String> {
+        let weights = [self.w.len(), self.mw.len(), self.vw.len()];
+        let biases = [self.b.len(), self.mb.len(), self.vb.len()];
+        let cells = self.rows.checked_mul(self.cols);
+        if weights.iter().any(|&n| Some(n) != cells) || biases.iter().any(|&n| n != self.rows) {
+            return Err(format!(
+                "{}x{} layer has weight buffers of {weights:?} and bias buffers of {biases:?}",
+                self.rows, self.cols
+            ));
+        }
+        Ok(())
+    }
+
     fn forward(&self, x: &[f64]) -> Vec<f64> {
         (0..self.rows)
             .map(|o| {
@@ -109,6 +123,34 @@ impl Mlp {
         }
     }
 
+    /// Checks a decoded net's shape: at least one layer, every buffer as
+    /// long as its layer's `rows × cols`, and each layer's inputs equal to
+    /// the previous layer's outputs. Only lengths are compared, so the cost
+    /// does not grow with the weights.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatch.
+    pub fn check_shape(&self) -> Result<(), String> {
+        if self.layers.is_empty() {
+            return Err("the net has no layers".into());
+        }
+        for (i, layer) in self.layers.iter().enumerate() {
+            layer.check_shape().map_err(|e| format!("layer {i}: {e}"))?;
+        }
+        for (i, pair) in self.layers.windows(2).enumerate() {
+            if pair[1].cols != pair[0].rows {
+                return Err(format!(
+                    "layer {} takes {} inputs but layer {i} gives {}",
+                    i + 1,
+                    pair[1].cols,
+                    pair[0].rows
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Input width.
     #[must_use]
     pub fn input_width(&self) -> usize {
@@ -116,7 +158,8 @@ impl Mlp {
     }
 
     /// Output width.
-    // lint:boundary(PANICS) every constructor installs at least one layer, so `last()` cannot be empty
+    // `new` installs at least one layer, and the artifact loader rejects a
+    // decoded net that `check_shape` refuses, so `last()` cannot be empty.
     #[must_use]
     pub fn output_width(&self) -> usize {
         self.layers.last().expect("at least one layer").rows
@@ -335,6 +378,29 @@ mod tests {
             Mlp::new(&[2, 4, 1], Activation::Relu, &mut rng).predict(&[0.5, -0.5])
         };
         assert_eq!(build(), build());
+    }
+
+    #[test]
+    fn check_shape_accepts_built_nets_and_rejects_broken_ones() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mlp = Mlp::new(&[3, 4, 2], Activation::Relu, &mut rng);
+        assert_eq!(mlp.check_shape(), Ok(()));
+
+        let mut empty = mlp.clone();
+        empty.layers.clear();
+        assert!(empty.check_shape().is_err());
+
+        let mut short = mlp.clone();
+        short.layers[0].w.truncate(3);
+        assert!(short.check_shape().is_err());
+
+        let mut short_adam = mlp.clone();
+        short_adam.layers[1].vb.pop();
+        assert!(short_adam.check_shape().is_err());
+
+        let mut unchained = mlp;
+        unchained.layers.swap(0, 1);
+        assert!(unchained.check_shape().is_err());
     }
 
     #[test]

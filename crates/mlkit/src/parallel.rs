@@ -123,7 +123,22 @@ impl Default for Threads {
 /// let squares = parallel_map(Threads::fixed(4), &[1i64, 2, 3, 4, 5], |_, x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9, 16, 25]);
 /// ```
-// lint:boundary(PANICS) the scope join proves every worker wrote its slots; an empty slot after join is unreachable
+///
+/// Rule D3: the `Fn + Sync` bound rejects a closure that draws from a
+/// shared RNG, whose output would depend on the worker count. Derive each
+/// item's RNG with [`child_rng`](crate::stats::child_rng)`(seed, index)`
+/// inside the closure instead.
+///
+/// ```compile_fail,E0596
+/// use glimpse_mlkit::parallel::{parallel_map, Threads};
+/// use rand::rngs::StdRng;
+/// use rand::{Rng, SeedableRng};
+///
+/// let mut rng = StdRng::seed_from_u64(7);
+/// let noisy = parallel_map(Threads::fixed(2), &[1.0f64, 2.0], |_, x| x + rng.gen::<f64>());
+/// ```
+// The scope join proves every worker wrote its slots; an empty slot after
+// the join is unreachable.
 pub fn parallel_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -182,7 +197,8 @@ where
 /// let cut = parallel_map_cancellable(Threads::fixed(2), &token, &[1i64, 2, 3], |_, x| x * x);
 /// assert_eq!(cut, None);
 /// ```
-// lint:boundary(PANICS) the scope join proves every surviving slot was written; cancellation discards the batch before the unwrap
+// The scope join proves every surviving slot was written; cancellation
+// discards the batch before the unwrap.
 pub fn parallel_map_cancellable<T, R, F>(threads: Threads, cancel: &glimpse_supervise::CancelToken, items: &[T], f: F) -> Option<Vec<R>>
 where
     T: Sync,

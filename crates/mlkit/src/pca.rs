@@ -91,6 +91,26 @@ impl Pca {
         })
     }
 
+    /// Checks a decoded model's shape: a well-formed axis matrix with one
+    /// eigenvalue per axis and one mean per input feature. Only lengths are
+    /// compared.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first mismatch.
+    pub fn check_shape(&self) -> Result<(), String> {
+        self.components.check_shape()?;
+        let (axes, width) = (self.components.rows(), self.components.cols());
+        if self.eigenvalues.len() != axes || self.mean.len() != width {
+            return Err(format!(
+                "{axes} axes of width {width} come with {} eigenvalues and {} means",
+                self.eigenvalues.len(),
+                self.mean.len()
+            ));
+        }
+        Ok(())
+    }
+
     /// Number of components `k`.
     #[must_use]
     pub fn components(&self) -> usize {
@@ -245,6 +265,20 @@ mod tests {
         assert!(Pca::fit(&[vec![1.0], vec![2.0, 3.0]], 1).is_err());
         assert!(Pca::fit(&noisy_plane(10, 5), 0).is_err());
         assert!(Pca::fit(&noisy_plane(10, 5), 6).is_err());
+    }
+
+    #[test]
+    fn check_shape_rejects_mismatched_vectors() {
+        let pca = Pca::fit(&noisy_plane(20, 7), 2).unwrap();
+        assert_eq!(pca.check_shape(), Ok(()));
+
+        let mut short_mean = pca.clone();
+        short_mean.mean.truncate(2);
+        assert!(short_mean.check_shape().is_err());
+
+        let mut extra_eigenvalue = pca;
+        extra_eigenvalue.eigenvalues.push(1.0);
+        assert!(extra_eigenvalue.check_shape().is_err());
     }
 
     #[test]

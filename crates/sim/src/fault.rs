@@ -12,13 +12,16 @@
 //! noise stream — injecting faults perturbs *which* measurements fail, not
 //! the noise of the ones that succeed.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::pool::PoolPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-// Per-device override table; only point lookups by device name, never
-// iterated, so hash-order randomization is inert here (D2 does not apply).
-#[allow(clippy::disallowed_types)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "D2 does not apply: the per-device override table takes point lookups by device name only"
+)]
 use std::collections::HashMap;
 
 /// Simulated seconds a hung kernel burns before the harness kills it: the
@@ -264,7 +267,7 @@ pub struct FaultPlan {
     /// Rates for devices without an override.
     pub default_rates: FaultRates,
     /// Per-device overrides keyed by device name.
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "D2 does not apply: point lookups by device name only")]
     pub per_device: HashMap<String, FaultRates>,
     /// Storage-layer (journal) fault triggers; `None` means none armed.
     /// Kept optional so journals written before this field existed still
@@ -288,7 +291,7 @@ impl FaultPlan {
 
     /// Uniform rates across the fleet.
     #[must_use]
-    #[allow(clippy::disallowed_types)]
+    #[allow(clippy::disallowed_types, reason = "D2 does not apply: builds the empty override table")]
     pub fn uniform(seed: u64, rates: FaultRates) -> Self {
         Self {
             seed,

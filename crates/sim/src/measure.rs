@@ -6,6 +6,8 @@
 //! repeated runs, invalid ones pay compilation + the failed launch. The
 //! accumulated clock is what Table 2's "ΣGPU Search (GPU Hours)" reports.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::fault::{FaultEvent, FaultInjector, FaultPlan, InjectorState, MeasureFault};
 use crate::model::PerfModel;
 use crate::validity::{self, InvalidReason};

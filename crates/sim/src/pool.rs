@@ -17,6 +17,8 @@
 //! thresholds are a [`PoolPolicy`] carried on the [`FaultPlan`], so chaos
 //! experiments can tighten or loosen them per campaign.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::fault::FaultPlan;
 use crate::measure::Measurer;
 use glimpse_gpu_spec::GpuSpec;

@@ -8,6 +8,8 @@
 //! are not free, so they show up in the GPU-hour accounting exactly like
 //! the wasted wall-clock they stand in for.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::measure::{MeasureResult, Measurer};
 use glimpse_space::{Config, SearchSpace};
 use serde::{Deserialize, Serialize};

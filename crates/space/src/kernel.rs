@@ -280,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::identity_op)] // 1-factors spell out the tile structure
+    #[allow(clippy::identity_op, reason = "1-factors spell out the tile structure")]
     fn conv_direct_threads_and_blocks_cover_output() {
         let spec = conv();
         let f: &[u32] = &[1, 2, 8, 4];

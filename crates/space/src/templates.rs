@@ -97,7 +97,8 @@ pub fn dense_space(spec: &DenseSpec) -> SearchSpace {
 ///
 /// Panics on template/operator mismatches, which cannot be produced by
 /// `glimpse_tensor_prog::task::extract_tasks`.
-// lint:boundary(PANICS) task extraction only pairs templates with their own operator kind; a mismatch is a caller bug, not a load outcome
+// Task extraction only pairs templates with their own operator kind; a
+// mismatch is a caller bug, not a load outcome.
 #[must_use]
 pub fn space_for_task(task: &Task) -> SearchSpace {
     match (task.template, &task.op) {

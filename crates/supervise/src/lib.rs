@@ -11,12 +11,12 @@
 //!   deterministic points only (trial and SA-round boundaries), so a
 //!   cancelled run's journal is a byte-identical prefix of the
 //!   uninterrupted run's.
-//! * [`watchdog`] — the one sanctioned real-wall-clock consumer (lint rule
-//!   D1 exemption): a [`watchdog::Heartbeat`] beaten at trial boundaries
+//! * [`watchdog`] — the one sanctioned real-wall-clock consumer (rule D1
+//!   exemption): a [`watchdog::Heartbeat`] beaten at trial boundaries
 //!   plus a background [`watchdog::Watchdog`] that trips the token with
 //!   [`cancel::CancelReason::Stalled`] when the beat stops.
-//! * [`signal`] — SIGINT/SIGTERM installation (the one sanctioned `unsafe`
-//!   besides `mlkit::parallel`, lint rule U1): the first signal trips the
+//! * [`signal`] — SIGINT/SIGTERM installation (the workspace's one
+//!   sanctioned `unsafe`, rule U1): the first signal trips the
 //!   process-wide token for a graceful drain, the second hard-exits.
 //! * [`report`] — the degradation taxonomy ([`report::CellStatus`]) and the
 //!   `degradation.json` schema ([`report::DegradationReport`]).

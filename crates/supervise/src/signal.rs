@@ -18,7 +18,7 @@
 //! ourselves. On non-unix targets installation is a no-op and the token
 //! is only ever tripped by deadlines or the watchdog.
 
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "U1: the two hand-declared libc bindings for signal handling")]
 
 use crate::cancel::{CancelReason, CancelToken};
 use std::sync::atomic::{AtomicU32, Ordering};

@@ -54,7 +54,7 @@ impl Watchdog {
     /// flat before the token is tripped; polling runs at roughly a quarter
     /// of that (capped at one second) so a stall is caught within ~1.25×
     /// the window.
-    #[allow(clippy::disallowed_methods)] // D1 exemption: stall detection is the sanctioned real-clock consumer.
+    #[allow(clippy::disallowed_methods, reason = "D1 exemption: stall detection is the sanctioned real-clock consumer")]
     pub fn spawn(heartbeat: Heartbeat, token: CancelToken, stall: Duration) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
@@ -95,7 +95,7 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // D1 exemption: bounding a real-clock wait in the real-clock crate's own test.
+    #[allow(clippy::disallowed_methods, reason = "D1 exemption: bounding a real-clock wait in the real-clock crate's own test")]
     fn silent_heartbeat_trips_stalled() {
         let hb = Heartbeat::new();
         let token = CancelToken::new();

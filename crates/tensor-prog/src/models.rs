@@ -5,6 +5,8 @@
 //! the MXNet/Gluon model TVM's tutorials extract tasks from), which is what
 //! yields Table 1's 12 distinct direct-conv2d tasks.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::conv::Conv2dSpec;
 use crate::dense::DenseSpec;
 use crate::op::OpSpec;

@@ -1,5 +1,7 @@
 //! The tuning loop contract: [`Tuner`], [`TuneContext`], [`TuningOutcome`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::budget::Budget;
 use crate::cost_model::SurrogateLifecycle;
 use crate::history::{Trial, TuningHistory};

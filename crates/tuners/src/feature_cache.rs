@@ -104,7 +104,8 @@ impl FeatureCache {
     /// resolved under one lock acquisition; misses are featurized in
     /// parallel (outside the lock) and inserted afterwards, so the values
     /// are identical to mapping [`FeatureCache::row`] in order.
-    // lint:boundary(PANICS) every slot is either filled on the hit pass or listed in miss_at and filled on the miss pass
+    // Every slot is either filled on the hit pass or listed in `miss_at` and
+    // filled on the miss pass.
     #[must_use]
     pub fn rows_batch<'a, I>(&self, space: &SearchSpace, configs: I) -> Vec<Arc<[f64]>>
     where

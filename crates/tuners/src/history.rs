@@ -5,6 +5,8 @@
 //! of TVM tuning logs / the TenSet corpus [19] that §3.1 gathers to train
 //! the prior generator `H`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use glimpse_sim::{InvalidReason, MeasureFault, MeasureResult, Outcome};
 use glimpse_space::Config;
 use glimpse_tensor_prog::TemplateKind;

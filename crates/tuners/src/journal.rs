@@ -37,6 +37,8 @@
 //! a hard [`JournalError::HeaderMismatch`] — resuming under different
 //! parameters would silently corrupt results.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::budget::Budget;
 use crate::context::{RunControl, TuneContext, Tuner, TuningOutcome};
 use crate::history::Trial;
@@ -602,7 +604,7 @@ pub fn run_checkpointed<T: Tuner + ?Sized>(
 /// # Errors
 ///
 /// As [`run_checkpointed`].
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "mirrors run_checkpointed plus the supervision control")]
 pub fn run_supervised<T: Tuner + ?Sized>(
     tuner: &mut T,
     spec: &CheckpointSpec<'_>,
@@ -707,7 +709,7 @@ fn deadline_slack(control: &RunControl, gpu_seconds: f64) -> Option<f64> {
         .map(|tightest| tightest - gpu_seconds)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "checks every field the header pins")]
 fn verify_header(
     header: &RunHeader,
     tuner: &str,
@@ -1141,7 +1143,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // hand-writes a corrupt fixture
+    #[allow(clippy::disallowed_methods, reason = "IO1: hand-writes a corrupt fixture")]
     fn headerless_journal_restarts_from_zero() {
         let dir = temp_dir("headerless");
         let (task, space, plan) = fixture();

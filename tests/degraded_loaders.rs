@@ -10,13 +10,20 @@
 
 use glimpse_repro::core::artifacts::{ArtifactLoadError, GlimpseArtifacts, ARTIFACTS_ENVELOPE};
 use glimpse_repro::core::corpus::{self, CorpusLoadError, CORPUS_ENVELOPE};
+use glimpse_repro::core::{GlimpseConfig, GlimpseTuner, ResolvedArtifacts};
 use glimpse_repro::durable::atomic_write;
 use glimpse_repro::durable::envelope::{self, EnvelopeSpec, Integrity};
 use glimpse_repro::gpu_spec::database;
 use glimpse_repro::gpu_spec::snapshot::{self, SnapshotError, SPEC_DB_ENVELOPE};
 use glimpse_repro::sim::calibrate::{self, CalibrationLoadError, NoiseEstimate, CALIBRATION_ENVELOPE};
+use glimpse_repro::sim::Measurer;
 use glimpse_repro::space::logfmt::{self, LogLoadError, LogRecord, TUNING_LOG_ENVELOPE};
+use glimpse_repro::space::templates;
+use glimpse_repro::supervise::{Component, HealthCause};
+use glimpse_repro::tensor_prog::models;
+use glimpse_repro::tuners::{Budget, TuneContext, Tuner};
 use proptest::prelude::*;
+use serde_json::Value;
 use std::path::{Path, PathBuf};
 
 /// Uniform classification of one loader invocation, shared across the five
@@ -275,6 +282,99 @@ fn wrong_kind_is_drift_not_a_decode() {
             "{}: expected drift, got {verdict:?}",
             class.name
         );
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// The committed full-preset bundle's payload: a real trained bundle to
+/// damage.
+fn committed_bundle() -> Value {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("results/artifacts-RTX_2080_Ti-42.json");
+    let text = std::fs::read_to_string(path).expect("committed bundle readable");
+    serde_json::from_str(&text).expect("committed bundle is JSON")
+}
+
+/// The member `key` of a JSON object.
+fn member<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
+    match value {
+        Value::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).expect(key),
+        other => panic!("expected an object with {key}, got {other:?}"),
+    }
+}
+
+/// The items of a JSON array.
+fn items(value: &mut Value) -> &mut Vec<Value> {
+    match value {
+        Value::Array(items) => items,
+        other => panic!("expected an array, got {other:?}"),
+    }
+}
+
+/// The layer list of net `index` in the bundle's `nets` array.
+fn layers<'a>(bundle: &'a mut Value, nets: &str, index: usize) -> &'a mut Vec<Value> {
+    items(member(member(&mut items(member(bundle, nets))[index], "mlp"), "layers"))
+}
+
+/// An in-place edit of a decoded bundle payload.
+type BundleEdit = fn(&mut Value);
+
+/// Edits that keep a bundle valid JSON of the right type, so the envelope
+/// seals it with a valid CRC, but break the shapes tuning relies on.
+fn malformed_bundle_edits() -> Vec<(&'static str, BundleEdit)> {
+    vec![
+        ("every net has no layers", |bundle| {
+            for nets in ["priors", "acquisitions"] {
+                for index in 0..3 {
+                    layers(bundle, nets, index).clear();
+                }
+            }
+        }),
+        ("layer 0 weights cut to 3 values", |bundle| {
+            items(member(&mut layers(bundle, "priors", 0)[0], "w")).truncate(3);
+        }),
+        ("one prior has no layers", |bundle| layers(bundle, "priors", 0).clear()),
+        ("normalizer means cut to 2 values", |bundle| {
+            items(member(member(member(bundle, "codec"), "normalizer"), "means")).truncate(2);
+        }),
+    ]
+}
+
+/// A bundle whose CRC verifies but whose shapes do not fit together is
+/// rejected at load, so the ladder degrades it and a tune spends its whole
+/// budget on the fallback rungs instead of panicking mid-search. The
+/// unedited bundle passes the same shape check.
+#[test]
+fn malformed_bundle_with_valid_crc_is_rejected_and_tunes_degraded() {
+    let bundle = committed_bundle();
+    let path = temp_file("malformed-bundle");
+    let seal = |value: &Value| {
+        let text = serde_json::to_string(value).expect("bundle encodes");
+        envelope::write_envelope(&path, ARTIFACTS_ENVELOPE, text.as_bytes()).expect("sealed");
+    };
+    seal(&bundle);
+    assert_eq!(load_artifacts(&path), Verdict::Loaded, "the committed bundle must pass");
+
+    let model = models::alexnet();
+    let task = &model.tasks()[2];
+    let space = templates::space_for_task(task);
+    let gpu = database::find("RTX 2080 Ti").unwrap();
+    for (name, edit) in malformed_bundle_edits() {
+        let mut damaged = bundle.clone();
+        edit(&mut damaged);
+        seal(&damaged);
+        assert_eq!(load_artifacts(&path), Verdict::Rejected, "{name}");
+        assert!(!GlimpseArtifacts::verify(&path).is_intact(), "{name}");
+
+        let resolved = ResolvedArtifacts::load(&path);
+        assert!(resolved.artifacts.is_none(), "{name}");
+        for component in [Component::Prior, Component::Acquisition, Component::Sampler] {
+            let report = resolved.health.get(component).expect("component listed");
+            assert_eq!(report.health.cause(), Some(&HealthCause::Undecodable), "{name}: {component:?}");
+        }
+        let mut measurer = Measurer::new(gpu.clone(), 7);
+        let ctx = TuneContext::new(task, &space, &mut measurer, Budget::measurements(16), 7);
+        let outcome = GlimpseTuner::from_resolved(&resolved, gpu, GlimpseConfig::default()).tune(ctx);
+        assert_eq!(outcome.measurements, 16, "{name}");
     }
     let _ = std::fs::remove_file(&path);
 }

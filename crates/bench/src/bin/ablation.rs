@@ -10,7 +10,7 @@
 //! its fallback rung into the resolved artifacts.
 
 use glimpse_bench::e2e::ARTIFACT_SEED;
-use glimpse_bench::experiment::{cached_artifacts, cached_artifacts_with, oracle_best_gflops};
+use glimpse_bench::experiment::{cached_artifacts, oracle_best_gflops};
 use glimpse_bench::report;
 use glimpse_core::artifacts::TrainingOptions;
 use glimpse_core::health::ResolvedArtifacts;
@@ -58,7 +58,7 @@ fn summarize(name: &str, outcomes: &[TuningOutcome], oracles: &[f64]) -> Vec<Str
 fn main() {
     let gpu_name = "RTX 2080 Ti";
     let gpu = database::find(gpu_name).unwrap();
-    let healthy = ResolvedArtifacts::healthy(cached_artifacts(gpu, ARTIFACT_SEED));
+    let healthy = ResolvedArtifacts::healthy(cached_artifacts(gpu, ARTIFACT_SEED, None));
     let model = models::resnet18();
     let picks = [1usize, 3, 4, 16];
     let oracles: Vec<f64> = picks.iter().map(|&i| oracle_best_gflops(gpu, &model.tasks()[i], 5)).collect();
@@ -93,7 +93,7 @@ fn main() {
             blueprint_dim: dim,
             ..TrainingOptions::default()
         };
-        let arts = cached_artifacts_with(gpu, options, ARTIFACT_SEED, &format!("dim{dim}"));
+        let arts = cached_artifacts(gpu, ARTIFACT_SEED, Some((&format!("dim{dim}"), options)));
         dim_rows.push(summarize(
             &format!("blueprint dim = {dim}"),
             &run(base, &ResolvedArtifacts::healthy(arts), gpu_name, 5),

@@ -51,7 +51,7 @@ fn main() {
     println!("Hardware-aware sampler confusion (2000 uniform configs per GPU):\n");
     let mut rows = Vec::new();
     for gpu in database::evaluation_gpus() {
-        let artifacts = cached_artifacts(gpu, ARTIFACT_SEED);
+        let artifacts = cached_artifacts(gpu, ARTIFACT_SEED, None);
         let blueprint = artifacts.encode(gpu);
         let sampler = EnsembleSampler::from_blueprint(&artifacts.codec, &blueprint, DEFAULT_MEMBERS, DEFAULT_TAU);
         let mut rng = StdRng::seed_from_u64(13);

@@ -34,7 +34,7 @@ fn main() {
         let gpu = database::find(gpu_name).unwrap();
         let model = models::find(model_name).unwrap();
         let task = &model.tasks()[layer];
-        let artifacts = cached_artifacts(gpu, ARTIFACT_SEED);
+        let artifacts = cached_artifacts(gpu, ARTIFACT_SEED, None);
         println!("\n=== {gpu_name} / {model_name} / L{layer} ({task}) ===");
 
         let mut curves = Vec::new();

@@ -28,7 +28,7 @@ fn main() {
     let mut ratios_tl = Vec::new();
     let mut ratios_glimpse = Vec::new();
     for gpu in &gpus {
-        let artifacts = cached_artifacts(gpu, ARTIFACT_SEED);
+        let artifacts = cached_artifacts(gpu, ARTIFACT_SEED, None);
         for model in &models {
             let mut scores = Vec::new();
             for kind in kinds {

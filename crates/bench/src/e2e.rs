@@ -76,7 +76,7 @@ pub fn end_to_end() -> EndToEnd {
             .map(|gpu| {
                 let models = &models;
                 scope.spawn(move || {
-                    let artifacts = cached_artifacts(gpu, ARTIFACT_SEED);
+                    let artifacts = cached_artifacts(gpu, ARTIFACT_SEED, None);
                     let mut results = Vec::new();
                     let mut gpu_logs = LogStore::new();
                     // AutoTVM pass (also the donor corpus for DGP transfer).

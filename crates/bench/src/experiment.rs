@@ -159,35 +159,24 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Loads (or trains and caches) leave-one-out Glimpse artifacts for a target
-/// GPU. Training is deterministic, so the cache is purely a time saver.
+/// GPU: the full preset when `variant` is `None`, else the tagged options.
+/// Training is deterministic, so the cache is purely a time saver; a cached
+/// bundle that does not decode or fails the shape check is retrained.
 #[must_use]
-pub fn cached_artifacts(target: &GpuSpec, seed: u64) -> GlimpseArtifacts {
-    let path = results_dir().join(format!("artifacts-{}-{}.json", target.name.replace(' ', "_"), seed));
+pub fn cached_artifacts(target: &GpuSpec, seed: u64, variant: Option<(&str, TrainingOptions)>) -> GlimpseArtifacts {
+    let (suffix, options) = match variant {
+        Some((tag, options)) => (format!("-{tag}"), options),
+        None => (String::new(), TrainingOptions::default()),
+    };
+    let path = results_dir().join(format!("artifacts-{}-{seed}{suffix}.json", target.name.replace(' ', "_")));
     if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(artifacts) = serde_json::from_str::<GlimpseArtifacts>(&text) {
+        if let Ok(artifacts) = GlimpseArtifacts::from_json(&text) {
             return artifacts;
         }
     }
-    eprintln!("[glimpse-bench] training leave-one-out artifacts for {} ...", target.name);
-    let artifacts = GlimpseArtifacts::train_leave_one_out(target, seed).expect("leave-one-out artifact training");
-    if let Ok(text) = serde_json::to_string(&artifacts) {
-        let _ = glimpse_durable::atomic_write(&path, text.as_bytes());
-    }
-    artifacts
-}
-
-/// Same, but with explicit options (used by the ablation harness).
-#[must_use]
-pub fn cached_artifacts_with(target: &GpuSpec, options: TrainingOptions, seed: u64, tag: &str) -> GlimpseArtifacts {
-    let path = results_dir().join(format!("artifacts-{}-{}-{}.json", target.name.replace(' ', "_"), seed, tag));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(artifacts) = serde_json::from_str::<GlimpseArtifacts>(&text) {
-            return artifacts;
-        }
-    }
-    eprintln!("[glimpse-bench] training artifacts ({tag}) for {} ...", target.name);
+    eprintln!("[glimpse-bench] training {} ...", path.display());
     let gpus = database::training_gpus(&target.name);
-    let artifacts = GlimpseArtifacts::train_with(&gpus, options, seed).expect("artifact training");
+    let artifacts = GlimpseArtifacts::train_with(&gpus, options, seed).expect("leave-one-out artifact training");
     if let Ok(text) = serde_json::to_string(&artifacts) {
         let _ = glimpse_durable::atomic_write(&path, text.as_bytes());
     }

@@ -23,7 +23,7 @@
 use crate::blueprint::Blueprint;
 use crate::corpus::CorpusEntry;
 use glimpse_mlkit::gbt::{Gbt, GbtParams};
-use glimpse_mlkit::mlp::{Activation, Mlp};
+use glimpse_mlkit::mlp::{Activation, Adam, Mlp};
 use glimpse_mlkit::parallel::{parallel_map, Threads};
 use glimpse_space::{Config, SearchSpace};
 use glimpse_tensor_prog::TemplateKind;
@@ -151,6 +151,7 @@ impl NeuralAcquisition {
         }
         // Mini-batch Adam on MSE.
         let batch = 64.min(xs.len());
+        let mut adam = Adam::new(&self.mlp);
         for _ in 0..epochs {
             let mut order: Vec<usize> = (0..xs.len()).collect();
             for i in (1..order.len()).rev() {
@@ -159,13 +160,9 @@ impl NeuralAcquisition {
             for chunk in order.chunks(batch) {
                 let bx: Vec<Vec<f64>> = chunk.iter().map(|&i| xs[i].clone()).collect();
                 let by: Vec<Vec<f64>> = chunk.iter().map(|&i| ys[i].clone()).collect();
-                self.train_mse_raw(&bx, &by, lr);
+                adam.step_mse(&mut self.mlp, &bx, &by, lr);
             }
         }
-    }
-
-    fn train_mse_raw(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) {
-        self.mlp.train_mse(xs, ys, lr);
     }
 
     /// Mean absolute error (GFLOPS) of the acquisition as a performance

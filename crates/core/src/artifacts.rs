@@ -245,6 +245,17 @@ impl GlimpseArtifacts {
     pub fn load(path: &std::path::Path) -> Result<Self, ArtifactLoadError> {
         let payload = envelope::read_envelope(path, ARTIFACTS_ENVELOPE).map_err(ArtifactLoadError::Damaged)?;
         let text = std::str::from_utf8(&payload).map_err(|e| ArtifactLoadError::Undecodable { detail: e.to_string() })?;
+        Self::from_json(text)
+    }
+
+    /// Decodes and shape-checks a bundle's JSON payload: the decoder behind
+    /// [`GlimpseArtifacts::load`], for bundles kept without an envelope.
+    ///
+    /// # Errors
+    ///
+    /// [`ArtifactLoadError::Undecodable`] when `text` is not an artifact
+    /// bundle or its shapes do not fit together.
+    pub fn from_json(text: &str) -> Result<Self, ArtifactLoadError> {
         let artifacts: Self = serde_json::from_str(text).map_err(|e| ArtifactLoadError::Undecodable { detail: e.to_string() })?;
         artifacts
             .check_shape()
@@ -342,6 +353,50 @@ mod tests {
         let artifacts = small_artifacts();
         let bp = artifacts.encode(database::find("RTX 2080 Ti").unwrap());
         assert_eq!(bp.len(), artifacts.blueprint_dim());
+    }
+
+    /// FNV-1a over the `to_bits()` of every trained weight and bias, walked
+    /// through the serialized bundle: priors then acquisitions, each net's
+    /// layers in order, `w` before `b`.
+    fn trained_bits_hash(artifacts: &GlimpseArtifacts) -> u64 {
+        fn member<'a>(value: &'a serde_json::Value, key: &str) -> &'a serde_json::Value {
+            match value {
+                serde_json::Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v).unwrap(),
+                other => panic!("expected an object with {key}, got {other:?}"),
+            }
+        }
+        fn items(value: &serde_json::Value) -> &[serde_json::Value] {
+            match value {
+                serde_json::Value::Array(items) => items,
+                other => panic!("expected an array, got {other:?}"),
+            }
+        }
+        let bundle = serde_json::to_value(artifacts);
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        for nets in ["priors", "acquisitions"] {
+            for net in items(member(&bundle, nets)) {
+                for layer in items(member(member(net, "mlp"), "layers")) {
+                    for key in ["w", "b"] {
+                        for value in items(member(layer, key)) {
+                            let serde_json::Value::Float(x) = value else {
+                                panic!("{key} holds {value:?}")
+                            };
+                            for byte in x.to_bits().to_le_bytes() {
+                                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        hash
+    }
+
+    /// Pins every trained weight bit of the fast preset, so a change to
+    /// the training arithmetic or its order cannot pass unnoticed.
+    #[test]
+    fn trained_weights_are_bit_pinned() {
+        assert_eq!(trained_bits_hash(&small_artifacts()), 0x4a77_b571_abad_5f96);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::blueprint::Blueprint;
 use crate::corpus::CorpusEntry;
-use glimpse_mlkit::mlp::{Activation, Mlp};
+use glimpse_mlkit::mlp::{Activation, Adam, Mlp};
 use glimpse_mlkit::stats::{argmax, sample_weighted, softmax};
 use glimpse_space::knob::KnobValue;
 use glimpse_space::{Config, SearchSpace};
@@ -433,22 +433,18 @@ impl PriorNet {
         if xs.is_empty() {
             return Ok(());
         }
+        let mut adam = Adam::new(&self.mlp);
         for _ in 0..epochs {
-            let grads: Vec<Vec<f64>> = xs
-                .iter()
-                .zip(&targets)
-                .map(|(x, target)| {
-                    let probs = self.layout.head_probs(&self.mlp.predict(x));
-                    let mut grad = Vec::with_capacity(self.layout.output_width());
-                    for (p, t) in probs.iter().zip(target) {
-                        for (pi, ti) in p.iter().zip(t) {
-                            grad.push((pi - ti) / xs.len() as f64);
-                        }
+            adam.step(&mut self.mlp, &xs, lr, |i, output| {
+                let probs = self.layout.head_probs(output);
+                let mut grad = Vec::with_capacity(self.layout.output_width());
+                for (p, t) in probs.iter().zip(&targets[i]) {
+                    for (pi, ti) in p.iter().zip(t) {
+                        grad.push((pi - ti) / xs.len() as f64);
                     }
-                    grad
-                })
-                .collect();
-            self.mlp.train_with_output_grads(&xs, &grads, lr);
+                }
+                grad
+            });
         }
         Ok(())
     }

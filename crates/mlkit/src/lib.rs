@@ -5,8 +5,9 @@
 //! * [`pca`] — principal component analysis for the *Blueprint* embedding
 //!   (§3.1 uses PCA over neural autoencoders for its intuitive
 //!   size/information-loss knob, Fig. 8).
-//! * [`mlp`] — light-weight multi-layer perceptrons with Adam, used for the
-//!   prior-distribution generator `H` and the neural acquisition function.
+//! * [`mlp`] — light-weight, weight-only multi-layer perceptrons for the
+//!   prior-distribution generator `H` and the neural acquisition function,
+//!   and the [`mlp::Adam`] optimizer that trains them offline.
 //! * [`gp`] — Gaussian-process regression for the DGP baseline (Sun et al.).
 //! * [`gbt`] — gradient-boosted regression trees, the AutoTVM-style
 //!   surrogate cost model.

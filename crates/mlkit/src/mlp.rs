@@ -1,12 +1,12 @@
-//! Light-weight multi-layer perceptrons with Adam.
+//! Light-weight multi-layer perceptrons and the Adam optimizer that trains
+//! them.
 //!
 //! §3.1 implements the prior generator `H` and the neural acquisition
-//! function as "light-weight" networks (small MLPs). This module provides
-//! exactly that: dense layers, ReLU/tanh activations, manual backprop, and
-//! an Adam optimizer. Callers can train against mean-squared error directly
-//! ([`Mlp::train_mse`]) or supply custom output gradients
-//! ([`Mlp::train_with_output_grads`]) for softmax/cross-entropy heads and
-//! policy-gradient objectives.
+//! function as "light-weight" networks (small MLPs). An [`Mlp`] holds only
+//! dense-layer weights and ReLU/tanh activations, for inference. Training
+//! state lives in an [`Adam`] for one training run; its step backpropagates
+//! MSE ([`Adam::step_mse`]) or caller-supplied output gradients
+//! ([`Adam::step`]) for softmax/cross-entropy heads.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -48,11 +48,6 @@ struct Dense {
     cols: usize, // inputs
     w: Vec<f64>,
     b: Vec<f64>,
-    // Adam state.
-    mw: Vec<f64>,
-    vw: Vec<f64>,
-    mb: Vec<f64>,
-    vb: Vec<f64>,
 }
 
 impl Dense {
@@ -65,23 +60,24 @@ impl Dense {
             cols: inputs,
             w,
             b: vec![0.0; outputs],
-            mw: vec![0.0; inputs * outputs],
-            vw: vec![0.0; inputs * outputs],
-            mb: vec![0.0; outputs],
-            vb: vec![0.0; outputs],
         }
     }
 
-    /// Checks that every buffer is as long as `rows × cols` implies.
+    /// A layer of the same shape with every weight and bias zero.
+    fn zeros_like(&self) -> Self {
+        Self {
+            rows: self.rows,
+            cols: self.cols,
+            w: vec![0.0; self.w.len()],
+            b: vec![0.0; self.b.len()],
+        }
+    }
+
+    /// Checks that `w` holds `rows × cols` values and `b` holds `rows`.
     fn check_shape(&self) -> Result<(), String> {
-        let weights = [self.w.len(), self.mw.len(), self.vw.len()];
-        let biases = [self.b.len(), self.mb.len(), self.vb.len()];
-        let cells = self.rows.checked_mul(self.cols);
-        if weights.iter().any(|&n| Some(n) != cells) || biases.iter().any(|&n| n != self.rows) {
-            return Err(format!(
-                "{}x{} layer has weight buffers of {weights:?} and bias buffers of {biases:?}",
-                self.rows, self.cols
-            ));
+        let (rows, cols, w, b) = (self.rows, self.cols, self.w.len(), self.b.len());
+        if Some(w) != rows.checked_mul(cols) || b != rows {
+            return Err(format!("{rows}x{cols} layer has {w} values in w and {b} in b"));
         }
         Ok(())
     }
@@ -96,12 +92,12 @@ impl Dense {
     }
 }
 
-/// A multi-layer perceptron with identity output head.
+/// A multi-layer perceptron with identity output head. It holds weights
+/// only; [`Adam`] trains it.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,
     activation: Activation,
-    step: u64,
 }
 
 impl Mlp {
@@ -116,11 +112,7 @@ impl Mlp {
         assert!(widths.len() >= 2, "an MLP needs input and output widths");
         assert!(widths.iter().all(|w| *w > 0), "layer widths must be positive");
         let layers = widths.windows(2).map(|w| Dense::new(w[0], w[1], rng)).collect();
-        Self {
-            layers,
-            activation,
-            step: 0,
-        }
+        Self { layers, activation }
     }
 
     /// Checks a decoded net's shape: at least one layer, every buffer as
@@ -165,12 +157,6 @@ impl Mlp {
         self.layers.last().expect("at least one layer").rows
     }
 
-    /// Total trainable parameter count.
-    #[must_use]
-    pub fn parameter_count(&self) -> usize {
-        self.layers.iter().map(|l| l.w.len() + l.b.len()).sum()
-    }
-
     /// Forward pass.
     ///
     /// # Panics
@@ -178,92 +164,105 @@ impl Mlp {
     /// Panics if `x.len() != input_width()`.
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
+        self.forward(x, None)
+    }
+
+    /// Forward pass. With `inputs`, it keeps each layer's input there, in
+    /// layer order, for backprop: entry `i` is what layer `i` consumed.
+    fn forward(&self, x: &[f64], mut inputs: Option<&mut Vec<Vec<f64>>>) -> Vec<f64> {
         assert_eq!(x.len(), self.input_width(), "input width mismatch");
         let mut h = x.to_vec();
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            h = layer.forward(&h);
+            let mut next = layer.forward(&h);
             if i != last {
-                for v in &mut h {
+                for v in &mut next {
                     *v = self.activation.apply(*v);
                 }
             }
+            if let Some(inputs) = inputs.as_deref_mut() {
+                inputs.push(h);
+            }
+            h = next;
         }
         h
     }
+}
 
-    /// One Adam step on mean-squared error over a batch. Returns the batch
-    /// MSE before the update.
-    ///
-    /// # Panics
-    ///
-    /// Panics on width mismatches or an empty batch.
-    pub fn train_mse(&mut self, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) -> f64 {
-        assert_eq!(xs.len(), ys.len(), "batch inputs/targets must align");
-        let mut loss = 0.0;
-        let outputs: Vec<Vec<f64>> = xs.iter().map(|x| self.predict(x)).collect();
-        let grads: Vec<Vec<f64>> = outputs
-            .iter()
-            .zip(ys)
-            .map(|(o, y)| {
-                assert_eq!(o.len(), y.len(), "target width mismatch");
-                o.iter()
-                    .zip(y)
-                    .map(|(oi, yi)| {
-                        let d = oi - yi;
-                        loss += d * d;
-                        2.0 * d / (xs.len() * o.len()) as f64
-                    })
-                    .collect()
-            })
-            .collect();
-        self.train_with_output_grads(xs, &grads, lr);
-        loss / (xs.len().max(1) * self.output_width()) as f64
+/// The Adam optimizer state of one training run: the step count and the
+/// first and second moments, laid out like the net's layers and starting at
+/// zero. It lives only as long as the training loop that drives it; the
+/// trained [`Mlp`] does not keep it.
+#[derive(Debug)]
+pub struct Adam {
+    step: u64,
+    m: Vec<Dense>,
+    v: Vec<Dense>,
+}
+
+impl Adam {
+    /// Fresh optimizer state shaped like `mlp`.
+    #[must_use]
+    pub fn new(mlp: &Mlp) -> Self {
+        let zeros = mlp.layers.iter().map(Dense::zeros_like).collect::<Vec<_>>();
+        Self {
+            step: 0,
+            m: zeros.clone(),
+            v: zeros,
+        }
     }
 
-    /// One Adam step given per-sample gradients of the loss w.r.t. the
-    /// network **output** (linear head). This is the hook for softmax
-    /// cross-entropy heads (`∂L/∂logits = p − onehot`) and policy-gradient
-    /// objectives.
+    /// One Adam step on mean-squared error over a batch.
     ///
     /// # Panics
     ///
     /// Panics on width mismatches or an empty batch.
-    pub fn train_with_output_grads(&mut self, xs: &[Vec<f64>], output_grads: &[Vec<f64>], lr: f64) {
-        assert!(!xs.is_empty(), "empty training batch");
-        assert_eq!(xs.len(), output_grads.len());
-        let n_layers = self.layers.len();
-        // Accumulated gradients.
-        let mut gw: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.w.len()]).collect();
-        let mut gb: Vec<Vec<f64>> = self.layers.iter().map(|l| vec![0.0; l.b.len()]).collect();
+    pub fn step_mse(&mut self, mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) {
+        assert_eq!(xs.len(), ys.len(), "batch inputs/targets must align");
+        self.step(mlp, xs, lr, |i, o| {
+            assert_eq!(o.len(), ys[i].len(), "target width mismatch");
+            o.iter()
+                .zip(&ys[i])
+                .map(|(oi, yi)| 2.0 * (oi - yi) / (xs.len() * o.len()) as f64)
+                .collect()
+        });
+    }
 
-        for (x, out_grad) in xs.iter().zip(output_grads) {
-            assert_eq!(out_grad.len(), self.output_width(), "output grad width mismatch");
-            // Forward, caching activations per layer: layer `i` consumes
-            // activation `i` and pushes activation `i + 1`.
-            let mut acts: Vec<Vec<f64>> = vec![x.clone()];
-            for (i, layer) in self.layers.iter().enumerate() {
-                let mut h = layer.forward(&acts[i]);
-                if i != n_layers - 1 {
-                    for v in &mut h {
-                        *v = self.activation.apply(*v);
-                    }
-                }
-                acts.push(h);
-            }
-            // Backward.
-            let mut delta = out_grad.clone();
+    /// One Adam step over a batch. Each sample runs forward once, keeping
+    /// each layer's input; `output_grad(i, output)` returns the gradient of the
+    /// loss w.r.t. sample `i`'s **output** (linear head), which is then
+    /// backpropagated. This is the hook for MSE ([`Adam::step_mse`]),
+    /// softmax cross-entropy heads (`∂L/∂logits = p − onehot`) and
+    /// policy-gradient objectives.
+    ///
+    /// # Panics
+    ///
+    /// Panics on width mismatches or an empty batch.
+    pub fn step<G>(&mut self, mlp: &mut Mlp, xs: &[Vec<f64>], lr: f64, mut output_grad: G)
+    where
+        G: FnMut(usize, &[f64]) -> Vec<f64>,
+    {
+        assert!(!xs.is_empty(), "empty training batch");
+        let n_layers = mlp.layers.len();
+        // Accumulated gradients.
+        let mut grads: Vec<Dense> = mlp.layers.iter().map(Dense::zeros_like).collect();
+
+        for (sample, x) in xs.iter().enumerate() {
+            let mut inputs = Vec::with_capacity(n_layers);
+            let output = mlp.forward(x, Some(&mut inputs));
+            let mut delta = output_grad(sample, &output);
+            assert_eq!(delta.len(), mlp.output_width(), "output grad width mismatch");
             for i in (0..n_layers).rev() {
-                let input = &acts[i];
+                let layer = &mlp.layers[i];
+                let grad = &mut grads[i];
                 for (o, d) in delta.iter().enumerate() {
-                    gb[i][o] += d;
-                    let row = &mut gw[i][o * self.layers[i].cols..(o + 1) * self.layers[i].cols];
-                    for (g, xi) in row.iter_mut().zip(input) {
+                    grad.b[o] += d;
+                    let row = &mut grad.w[o * layer.cols..(o + 1) * layer.cols];
+                    for (g, xi) in row.iter_mut().zip(&inputs[i]) {
                         *g += d * xi;
                     }
                 }
                 if i > 0 {
-                    let layer = &self.layers[i];
                     let mut prev = vec![0.0; layer.cols];
                     for (o, d) in delta.iter().enumerate() {
                         let row = &layer.w[o * layer.cols..(o + 1) * layer.cols];
@@ -271,31 +270,32 @@ impl Mlp {
                             *p += d * w;
                         }
                     }
-                    // Activation derivative uses the *activated* value.
-                    for (p, a) in prev.iter_mut().zip(&acts[i]) {
-                        *p *= self.activation.derivative(*a);
+                    // Activation derivative uses the *activated* value,
+                    // which is layer `i`'s input.
+                    for (p, a) in prev.iter_mut().zip(&inputs[i]) {
+                        *p *= mlp.activation.derivative(*a);
                     }
                     delta = prev;
                 }
             }
         }
 
-        // Adam update.
+        // Adam update, weights then biases of each layer.
         self.step += 1;
         let t = self.step as f64;
         let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
         let bias1 = 1.0 - b1.powf(t);
         let bias2 = 1.0 - b2.powf(t);
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            for (j, g) in gw[i].iter().enumerate() {
-                layer.mw[j] = b1 * layer.mw[j] + (1.0 - b1) * g;
-                layer.vw[j] = b2 * layer.vw[j] + (1.0 - b2) * g * g;
-                layer.w[j] -= lr * (layer.mw[j] / bias1) / ((layer.vw[j] / bias2).sqrt() + eps);
-            }
-            for (j, g) in gb[i].iter().enumerate() {
-                layer.mb[j] = b1 * layer.mb[j] + (1.0 - b1) * g;
-                layer.vb[j] = b2 * layer.vb[j] + (1.0 - b2) * g * g;
-                layer.b[j] -= lr * (layer.mb[j] / bias1) / ((layer.vb[j] / bias2).sqrt() + eps);
+        for (((layer, grad), m), v) in mlp.layers.iter_mut().zip(&grads).zip(&mut self.m).zip(&mut self.v) {
+            for (param, g, m, v) in [
+                (&mut layer.w, &grad.w, &mut m.w, &mut v.w),
+                (&mut layer.b, &grad.b, &mut m.b, &mut v.b),
+            ] {
+                for (j, g) in g.iter().enumerate() {
+                    m[j] = b1 * m[j] + (1.0 - b1) * g;
+                    v[j] = b2 * v[j] + (1.0 - b2) * g * g;
+                    param[j] -= lr * (m[j] / bias1) / ((v[j] / bias2).sqrt() + eps);
+                }
             }
         }
     }
@@ -313,7 +313,6 @@ mod tests {
         let mlp = Mlp::new(&[4, 8, 3], Activation::Relu, &mut rng);
         assert_eq!(mlp.input_width(), 4);
         assert_eq!(mlp.output_width(), 3);
-        assert_eq!(mlp.parameter_count(), 4 * 8 + 8 + 8 * 3 + 3);
         assert_eq!(mlp.predict(&[0.1, 0.2, 0.3, 0.4]).len(), 3);
     }
 
@@ -321,24 +320,26 @@ mod tests {
     fn learns_a_linear_function() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut mlp = Mlp::new(&[2, 16, 1], Activation::Tanh, &mut rng);
+        let mut adam = Adam::new(&mlp);
         use rand::Rng;
         let xs: Vec<Vec<f64>> = (0..64).map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]).collect();
         let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![0.7 * x[0] - 0.3 * x[1] + 0.1]).collect();
-        let mut last = f64::INFINITY;
         for _ in 0..400 {
-            last = mlp.train_mse(&xs, &ys, 0.01);
+            adam.step_mse(&mut mlp, &xs, &ys, 0.01);
         }
-        assert!(last < 1e-3, "final MSE {last}");
+        let mse = xs.iter().zip(&ys).map(|(x, y)| (mlp.predict(x)[0] - y[0]).powi(2)).sum::<f64>() / xs.len() as f64;
+        assert!(mse < 1e-3, "final MSE {mse}");
     }
 
     #[test]
     fn learns_xor_with_relu() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut mlp = Mlp::new(&[2, 16, 16, 1], Activation::Relu, &mut rng);
+        let mut adam = Adam::new(&mlp);
         let xs = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
         let ys = vec![vec![0.0], vec![1.0], vec![1.0], vec![0.0]];
         for _ in 0..2000 {
-            mlp.train_mse(&xs, &ys, 0.01);
+            adam.step_mse(&mut mlp, &xs, &ys, 0.01);
         }
         for (x, y) in xs.iter().zip(&ys) {
             let p = mlp.predict(x)[0];
@@ -355,17 +356,13 @@ mod tests {
         let targets = [0usize, 1, 2];
         let ce = |mlp: &Mlp| -> f64 { xs.iter().zip(targets).map(|(x, t)| -softmax(&mlp.predict(x))[t].ln()).sum::<f64>() };
         let before = ce(&mlp);
+        let mut adam = Adam::new(&mlp);
         for _ in 0..200 {
-            let grads: Vec<Vec<f64>> = xs
-                .iter()
-                .zip(targets)
-                .map(|(x, t)| {
-                    let mut p = softmax(&mlp.predict(x));
-                    p[t] -= 1.0;
-                    p
-                })
-                .collect();
-            mlp.train_with_output_grads(&xs, &grads, 0.01);
+            adam.step(&mut mlp, &xs, 0.01, |i, out| {
+                let mut p = softmax(out);
+                p[targets[i]] -= 1.0;
+                p
+            });
         }
         let after = ce(&mlp);
         assert!(after < before * 0.2, "CE {before} -> {after}");
@@ -393,10 +390,6 @@ mod tests {
         let mut short = mlp.clone();
         short.layers[0].w.truncate(3);
         assert!(short.check_shape().is_err());
-
-        let mut short_adam = mlp.clone();
-        short_adam.layers[1].vb.pop();
-        assert!(short_adam.check_shape().is_err());
 
         let mut unchained = mlp;
         unchained.layers.swap(0, 1);

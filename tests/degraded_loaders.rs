@@ -294,6 +294,30 @@ fn committed_bundle() -> Value {
     serde_json::from_str(&text).expect("committed bundle is JSON")
 }
 
+/// Every committed bundle decodes, passes the shape check and re-encodes
+/// to its exact bytes, so the committed files are what the writer emits
+/// and hold nothing the decoder drops.
+#[test]
+fn committed_bundles_are_canonical() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(&dir).expect("results directory readable") {
+        let path = entry.expect("directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if !(name.starts_with("artifacts-") && name.ends_with(".json")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).expect("bundle readable");
+        let artifacts = GlimpseArtifacts::from_json(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            serde_json::to_string(&artifacts).expect("bundle encodes") == text,
+            "{name} is not canonical"
+        );
+        checked += 1;
+    }
+    assert!(checked > 0, "no committed bundles under {}", dir.display());
+}
+
 /// The member `key` of a JSON object.
 fn member<'a>(value: &'a mut Value, key: &str) -> &'a mut Value {
     match value {
@@ -342,7 +366,8 @@ fn malformed_bundle_edits() -> Vec<(&'static str, BundleEdit)> {
 /// A bundle whose CRC verifies but whose shapes do not fit together is
 /// rejected at load, so the ladder degrades it and a tune spends its whole
 /// budget on the fallback rungs instead of panicking mid-search. The
-/// unedited bundle passes the same shape check.
+/// unsealed decoder behind the bench cache rejects it too. The unedited
+/// bundle passes the same shape check.
 #[test]
 fn malformed_bundle_with_valid_crc_is_rejected_and_tunes_degraded() {
     let bundle = committed_bundle();
@@ -350,6 +375,7 @@ fn malformed_bundle_with_valid_crc_is_rejected_and_tunes_degraded() {
     let seal = |value: &Value| {
         let text = serde_json::to_string(value).expect("bundle encodes");
         envelope::write_envelope(&path, ARTIFACTS_ENVELOPE, text.as_bytes()).expect("sealed");
+        text
     };
     seal(&bundle);
     assert_eq!(load_artifacts(&path), Verdict::Loaded, "the committed bundle must pass");
@@ -361,8 +387,12 @@ fn malformed_bundle_with_valid_crc_is_rejected_and_tunes_degraded() {
     for (name, edit) in malformed_bundle_edits() {
         let mut damaged = bundle.clone();
         edit(&mut damaged);
-        seal(&damaged);
+        let text = seal(&damaged);
         assert_eq!(load_artifacts(&path), Verdict::Rejected, "{name}");
+        assert!(
+            matches!(GlimpseArtifacts::from_json(&text), Err(ArtifactLoadError::Undecodable { .. })),
+            "{name}"
+        );
         assert!(!GlimpseArtifacts::verify(&path).is_intact(), "{name}");
 
         let resolved = ResolvedArtifacts::load(&path);

@@ -21,10 +21,9 @@
 //! surrogate, which is why they converge in fewer steps on unseen GPUs.
 
 use crate::blueprint::Blueprint;
-use crate::corpus::CorpusEntry;
+use crate::corpus::{CorpusEntry, CorpusSample, TaskSpaces};
 use glimpse_mlkit::gbt::{Gbt, GbtParams};
 use glimpse_mlkit::mlp::{Activation, Adam, Mlp};
-use glimpse_mlkit::parallel::{parallel_map, Threads};
 use glimpse_space::{Config, SearchSpace};
 use glimpse_tensor_prog::TemplateKind;
 use rand::rngs::StdRng;
@@ -78,14 +77,16 @@ impl NeuralAcquisition {
         Ok(())
     }
 
-    fn input(&self, features: &[f64], mu_gflops: f64, t_frac: f64, blueprint: &Blueprint) -> Vec<f64> {
+    /// Appends the net's input to `x`: `features` padded (or truncated) to
+    /// [`PADDED_FEATURES`], then μ̂, t/T and the Blueprint.
+    fn push_input(&self, x: &mut Vec<f64>, features: &[f64], mu_gflops: f64, t_frac: f64, blueprint: &Blueprint) {
         assert_eq!(blueprint.len(), self.blueprint_dim, "blueprint width mismatch");
-        let mut x = features.to_vec();
-        x.resize(PADDED_FEATURES, 0.0);
+        let start = x.len();
+        x.extend_from_slice(features);
+        x.resize(start + PADDED_FEATURES, 0.0);
         x.push(mu_gflops / SCALE);
         x.push(t_frac.clamp(0.0, 1.0));
         x.extend_from_slice(&blueprint.values);
-        x
     }
 
     /// Acquisition score of a candidate (higher = more worth measuring).
@@ -98,7 +99,65 @@ impl NeuralAcquisition {
     /// Acquisition score from pre-computed (padded) features.
     #[must_use]
     pub fn score_features(&self, features: &[f64], mu_gflops: f64, t_frac: f64, blueprint: &Blueprint) -> f64 {
-        self.mlp.predict(&self.input(features, mu_gflops, t_frac, blueprint))[0] * SCALE
+        let mut x = Vec::with_capacity(self.mlp.input_width());
+        self.push_input(&mut x, features, mu_gflops, t_frac, blueprint);
+        self.mlp.predict(&x)[0] * SCALE
+    }
+
+    /// Replays mid-tuning states over the entries of this template: for
+    /// each entry, a throwaway surrogate fitted on its first `prefix`
+    /// samples (drawing from `rng`) predicts μ̂ for every later sample, and
+    /// `t_frac(rng)` gives the row's progress point. Entries whose GPU is
+    /// missing from `encode`, or with too few samples, are skipped.
+    fn rows<'a, F, T>(&self, entries: &[&'a CorpusEntry], encode: F, prefix: usize, rng: &mut StdRng, mut t_frac: T) -> Rows<'a>
+    where
+        F: Fn(&str) -> Option<Blueprint>,
+        T: FnMut(&mut StdRng) -> f64,
+    {
+        let mut out = Rows::default();
+        for entry in entries {
+            if entry.task.template != self.template {
+                continue;
+            }
+            let Some(blueprint) = encode(&entry.gpu) else { continue };
+            if entry.samples.len() <= prefix + 8 {
+                continue;
+            }
+            let space = out.spaces.index(&entry.task);
+            let features = |s: &CorpusSample| out.spaces.get(space).features(&s.config);
+            let train_x: Vec<Vec<f64>> = entry.samples[..prefix].iter().map(features).collect();
+            let train_y: Vec<f64> = entry.samples[..prefix].iter().map(|s| s.gflops / SCALE).collect();
+            let surrogate = Gbt::fit(
+                &train_x,
+                &train_y,
+                GbtParams {
+                    trees: 25,
+                    ..GbtParams::default()
+                },
+                rng,
+            );
+            let at = u32::try_from(out.entries.len()).expect("fewer than 2³² corpus entries");
+            for (sample, s) in entry.samples.iter().enumerate().skip(prefix) {
+                let mu = surrogate.predict(&features(s));
+                out.rows.push(Row {
+                    entry: at,
+                    sample: u32::try_from(sample).expect("fewer than 2³² samples per entry"),
+                    mu_gflops: mu * SCALE,
+                    t_frac: t_frac(rng),
+                });
+            }
+            out.entries.push((entry, space, blueprint));
+        }
+        out
+    }
+
+    /// Appends `row`'s input to `x` and returns the sample it scores.
+    fn push_row<'a>(&self, x: &mut Vec<f64>, rows: &Rows<'a>, row: &Row) -> &'a CorpusSample {
+        let (entry, space, blueprint) = &rows.entries[row.entry as usize];
+        let sample = &entry.samples[row.sample as usize];
+        let features = rows.spaces.get(*space).features(&sample.config);
+        self.push_input(x, &features, row.mu_gflops, row.t_frac, blueprint);
+        sample
     }
 
     /// Meta-trains across corpus entries of this template (leave-one-out is
@@ -108,104 +167,75 @@ impl NeuralAcquisition {
     where
         F: Fn(&str) -> Option<Blueprint>,
     {
-        let mut xs: Vec<Vec<f64>> = Vec::new();
-        let mut ys: Vec<Vec<f64>> = Vec::new();
         let mut rng = StdRng::seed_from_u64(seed);
-        for entry in entries {
-            if entry.task.template != self.template {
-                continue;
-            }
-            let Some(blueprint) = encode(&entry.gpu) else { continue };
-            if entry.samples.len() <= prefix + 8 {
-                continue;
-            }
-            let space = entry.space();
-            // Mid-tuning surrogate on the prefix. Featurization of both the
-            // prefix and the held-out tail fans out across workers; the
-            // RNG-consuming row assembly below stays sequential so training
-            // is identical at any thread count.
-            let train_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, &entry.samples[..prefix], |_, s| space.features(&s.config));
-            let train_y: Vec<f64> = entry.samples[..prefix].iter().map(|s| s.gflops / SCALE).collect();
-            let surrogate = Gbt::fit(
-                &train_x,
-                &train_y,
-                GbtParams {
-                    trees: 25,
-                    ..GbtParams::default()
-                },
-                &mut rng,
-            );
-            // Remaining samples at random progress points become rows.
-            let tail = &entry.samples[prefix..];
-            let padded: Vec<Vec<f64>> = parallel_map(Threads::AUTO, tail, |_, s| space.features_padded(&s.config, PADDED_FEATURES));
-            let tail_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, tail, |_, s| space.features(&s.config));
-            let mus = surrogate.predict_batch(&tail_x);
-            for ((sample, features), mu) in tail.iter().zip(&padded).zip(mus) {
-                let t_frac: f64 = rng.gen_range(0.0..1.0);
-                xs.push(self.input(features, mu * SCALE, t_frac, &blueprint));
-                ys.push(vec![sample.gflops / SCALE]);
-            }
-        }
-        if xs.is_empty() {
+        let rows = self.rows(entries, encode, prefix, &mut rng, |rng| rng.gen_range(0.0..1.0));
+        if rows.rows.is_empty() {
             return;
         }
-        // Mini-batch Adam on MSE.
-        let batch = 64.min(xs.len());
+        // Mini-batch Adam on MSE; each batch's inputs are rebuilt from its
+        // rows into one flat buffer.
+        let batch = 64.min(rows.rows.len());
         let mut adam = Adam::new(&self.mlp);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
         for _ in 0..epochs {
-            let mut order: Vec<usize> = (0..xs.len()).collect();
+            let mut order: Vec<usize> = (0..rows.rows.len()).collect();
             for i in (1..order.len()).rev() {
                 order.swap(i, rng.gen_range(0..=i));
             }
             for chunk in order.chunks(batch) {
-                let bx: Vec<Vec<f64>> = chunk.iter().map(|&i| xs[i].clone()).collect();
-                let by: Vec<Vec<f64>> = chunk.iter().map(|&i| ys[i].clone()).collect();
-                adam.step_mse(&mut self.mlp, &bx, &by, lr);
+                xs.clear();
+                ys.clear();
+                for &i in chunk {
+                    let sample = self.push_row(&mut xs, &rows, &rows.rows[i]);
+                    ys.push(sample.gflops / SCALE);
+                }
+                adam.step_mse(&mut self.mlp, &xs, &ys, lr);
             }
         }
     }
 
     /// Mean absolute error (GFLOPS) of the acquisition as a performance
-    /// predictor on held-out entries (diagnostic).
+    /// predictor on held-out entries (diagnostic), at progress `t/T = 0.5`.
     #[must_use]
     pub fn evaluate_mae<F>(&self, entries: &[&CorpusEntry], encode: F, prefix: usize, seed: u64) -> f64
     where
         F: Fn(&str) -> Option<Blueprint>,
     {
         let mut rng = StdRng::seed_from_u64(seed);
+        let rows = self.rows(entries, encode, prefix, &mut rng, |_| 0.5);
+        let mut x = Vec::with_capacity(self.mlp.input_width());
         let mut total = 0.0;
-        let mut count = 0usize;
-        for entry in entries {
-            if entry.task.template != self.template {
-                continue;
-            }
-            let Some(blueprint) = encode(&entry.gpu) else { continue };
-            if entry.samples.len() <= prefix + 8 {
-                continue;
-            }
-            let space = entry.space();
-            let train_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, &entry.samples[..prefix], |_, s| space.features(&s.config));
-            let train_y: Vec<f64> = entry.samples[..prefix].iter().map(|s| s.gflops / SCALE).collect();
-            let surrogate = Gbt::fit(
-                &train_x,
-                &train_y,
-                GbtParams {
-                    trees: 25,
-                    ..GbtParams::default()
-                },
-                &mut rng,
-            );
-            let tail = &entry.samples[prefix..];
-            let tail_x: Vec<Vec<f64>> = parallel_map(Threads::AUTO, tail, |_, s| space.features(&s.config));
-            let mus = surrogate.predict_batch(&tail_x);
-            for (sample, mu) in tail.iter().zip(mus) {
-                let pred = self.score(&space, &sample.config, mu * SCALE, 0.5, &blueprint);
-                total += (pred - sample.gflops).abs();
-                count += 1;
-            }
+        for row in &rows.rows {
+            x.clear();
+            let sample = self.push_row(&mut x, &rows, row);
+            total += (self.mlp.predict(&x)[0] * SCALE - sample.gflops).abs();
         }
-        total / count.max(1) as f64
+        total / rows.rows.len().max(1) as f64
     }
+}
+
+/// The training rows of [`NeuralAcquisition::rows`] and what rebuilding
+/// their inputs needs: each used entry with its space and Blueprint.
+#[derive(Default)]
+struct Rows<'a> {
+    spaces: TaskSpaces<'a>,
+    entries: Vec<(&'a CorpusEntry, usize, Blueprint)>,
+    rows: Vec<Row>,
+}
+
+/// One training row as a reference into the corpus: 24 bytes instead of
+/// the ~300 of its input vector, so the rows of three concurrent trainings
+/// stay small.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// Index into [`Rows::entries`].
+    entry: u32,
+    /// Index into that entry's samples.
+    sample: u32,
+    /// The surrogate's prediction μ̂ (GFLOPS).
+    mu_gflops: f64,
+    /// Optimization progress t/T.
+    t_frac: f64,
 }
 
 #[cfg(test)]
@@ -226,6 +256,25 @@ mod tests {
         let pop: Vec<&glimpse_gpu_spec::GpuSpec> = database::all().iter().collect();
         let codec = BlueprintCodec::fit(&pop, 4).unwrap();
         (entries, codec)
+    }
+
+    #[test]
+    fn every_template_fits_the_padded_feature_width() {
+        // `push_input` truncates wider feature rows without a word.
+        let mut seen = Vec::new();
+        for task in corpus::training_tasks() {
+            let space = glimpse_space::templates::space_for_task(&task);
+            assert!(
+                space.feature_width() <= PADDED_FEATURES,
+                "{} has {} features, the acquisition pads to {PADDED_FEATURES}",
+                task.id,
+                space.feature_width()
+            );
+            if !seen.contains(&task.template) {
+                seen.push(task.template);
+            }
+        }
+        assert_eq!(seen.len(), TemplateKind::ALL.len(), "the training tasks cover every template");
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::corpus::{self, CorpusEntry};
 use crate::prior::{PriorError, PriorNet};
 use glimpse_durable::envelope::{self, EnvelopeSpec, Integrity};
 use glimpse_gpu_spec::{database, GpuSpec};
+use glimpse_mlkit::parallel::{parallel_map_range, Threads};
 use glimpse_mlkit::stats::child_rng;
 use glimpse_space::templates;
 use glimpse_tensor_prog::{Conv2dSpec, DenseSpec, TemplateKind};
@@ -197,20 +198,39 @@ impl GlimpseArtifacts {
         let dense_layout = templates::dense_space(&DenseSpec::new(1, 512, 1000));
         let layouts = [&conv_layout, &wino_layout, &dense_layout];
 
+        // The six nets draw their initial weights here, in order, from two
+        // seeded streams. Training draws only from each net's own seed, so
+        // the six trainings are independent jobs of one fan-out, and the
+        // bundle is the same at any worker count.
         let kinds = TemplateKind::ALL;
         let mut rng = child_rng(seed, 0x617);
-        let mut make_prior = |i: usize| -> Result<PriorNet, PriorError> {
-            let mut net = PriorNet::new(kinds[i], layouts[i], options.blueprint_dim, &mut rng);
-            net.train(&refs, encode, options.quantile, options.prior_epochs, 3e-3)?;
-            Ok(net)
-        };
-        let priors = [make_prior(0)?, make_prior(1)?, make_prior(2)?];
+        let mut priors = std::array::from_fn(|i| PriorNet::new(kinds[i], layouts[i], options.blueprint_dim, &mut rng));
         let mut rng = child_rng(seed, 0xACC);
-        let acquisitions = std::array::from_fn::<NeuralAcquisition, 3, _>(|i| {
-            let mut net = NeuralAcquisition::new(kinds[i], options.blueprint_dim, &mut rng);
-            net.train(&refs, encode, options.prefix, options.acquisition_epochs, 3e-3, seed ^ i as u64);
-            net
+        let mut acquisitions = std::array::from_fn(|i| NeuralAcquisition::new(kinds[i], options.blueprint_dim, &mut rng));
+        let trained = parallel_map_range(Threads::AUTO, 6, |job| -> Result<Net, PriorError> {
+            // Acquisitions first: they are the longest jobs.
+            if let Some(net) = acquisitions.get(job) {
+                let mut net = net.clone();
+                net.train(&refs, encode, options.prefix, options.acquisition_epochs, 3e-3, seed ^ job as u64);
+                Ok(Net::Acquisition(net))
+            } else {
+                let mut net = priors[job - 3].clone();
+                net.train(&refs, encode, options.quantile, options.prior_epochs, 3e-3)?;
+                Ok(Net::Prior(net))
+            }
         });
+        for net in trained {
+            match net? {
+                Net::Prior(net) => {
+                    let i = template_index(net.template());
+                    priors[i] = net;
+                }
+                Net::Acquisition(net) => {
+                    let i = template_index(net.template());
+                    acquisitions[i] = net;
+                }
+            }
+        }
 
         Ok(Self {
             codec,
@@ -308,6 +328,13 @@ impl GlimpseArtifacts {
     pub fn acquisition(&self, template: TemplateKind) -> &NeuralAcquisition {
         &self.acquisitions[template_index(template)]
     }
+}
+
+/// One of the six nets [`GlimpseArtifacts::train_with`] trains, as a job of
+/// its fan-out.
+enum Net {
+    Prior(PriorNet),
+    Acquisition(NeuralAcquisition),
 }
 
 fn template_index(template: TemplateKind) -> usize {

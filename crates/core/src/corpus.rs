@@ -116,6 +116,32 @@ impl CorpusEntry {
     }
 }
 
+/// Search spaces of the tasks a set of corpus entries covers, each built
+/// once: the corpus holds one entry per (GPU, task) pair, so every task
+/// recurs once per GPU.
+#[derive(Default)]
+pub(crate) struct TaskSpaces<'a> {
+    tasks: Vec<&'a Task>,
+    spaces: Vec<SearchSpace>,
+}
+
+impl<'a> TaskSpaces<'a> {
+    /// The index of `task`'s space, building the space on first use.
+    pub(crate) fn index(&mut self, task: &'a Task) -> usize {
+        if let Some(i) = self.tasks.iter().position(|t| *t == task) {
+            return i;
+        }
+        self.tasks.push(task);
+        self.spaces.push(templates::space_for_task(task));
+        self.spaces.len() - 1
+    }
+
+    /// The space at `index`.
+    pub(crate) fn get(&self, index: usize) -> &SearchSpace {
+        &self.spaces[index]
+    }
+}
+
 /// The task pool used for meta-training: every task of the three evaluation
 /// models (the paper meta-trains "through various hardware and networks").
 #[must_use]
@@ -129,16 +155,16 @@ pub fn training_tasks() -> Vec<Task> {
 /// for online measurements).
 #[must_use]
 pub fn generate(gpus: &[&GpuSpec], tasks: &[Task], samples_per_pair: usize, seed: u64) -> Vec<CorpusEntry> {
+    let spaces: Vec<SearchSpace> = tasks.iter().map(templates::space_for_task).collect();
     let mut entries = Vec::with_capacity(gpus.len() * tasks.len());
     for (gi, gpu) in gpus.iter().enumerate() {
         let model = PerfModel::new((*gpu).clone());
-        for (ti, task) in tasks.iter().enumerate() {
-            let space = templates::space_for_task(task);
+        for (ti, (task, space)) in tasks.iter().zip(&spaces).enumerate() {
             let mut rng = StdRng::seed_from_u64(seed ^ (gi as u64) << 32 ^ ti as u64);
             let samples = (0..samples_per_pair)
                 .map(|_| {
                     let config = space.sample_uniform(&mut rng);
-                    let gflops = model.throughput_gflops(&space, &config).unwrap_or(0.0);
+                    let gflops = model.throughput_gflops(space, &config).unwrap_or(0.0);
                     CorpusSample { config, gflops }
                 })
                 .collect();

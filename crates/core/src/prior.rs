@@ -22,7 +22,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
 use crate::blueprint::Blueprint;
-use crate::corpus::CorpusEntry;
+use crate::corpus::{CorpusEntry, TaskSpaces};
 use glimpse_mlkit::mlp::{Activation, Adam, Mlp};
 use glimpse_mlkit::stats::{argmax, sample_weighted, softmax};
 use glimpse_space::knob::KnobValue;
@@ -408,42 +408,46 @@ impl PriorNet {
     where
         F: Fn(&str) -> Option<Blueprint>,
     {
-        // Precompute (input, soft targets per head) per entry.
-        let mut xs: Vec<Vec<f64>> = Vec::new();
-        let mut targets: Vec<Vec<Vec<f64>>> = Vec::new();
+        // One row per entry: the input, and the soft targets of every head
+        // laid end to end like the logits.
+        let width = self.layout.output_width();
+        let mut xs: Vec<f64> = Vec::new();
+        let mut targets: Vec<f64> = Vec::new();
+        let mut spaces = TaskSpaces::default();
         for entry in entries {
             if entry.task.template != self.template {
                 continue;
             }
             let Some(blueprint) = encode(&entry.gpu) else { continue };
-            let space = entry.space();
             let top = entry.top_quantile(quantile);
             if top.is_empty() {
                 continue;
             }
+            let space = spaces.index(&entry.task);
             let mut dist: Vec<Vec<f64>> = self.layout.heads().iter().map(|h| vec![0.0; h.classes()]).collect();
             for sample in &top {
-                for (h, label) in self.layout.labels(&space, &sample.config)?.into_iter().enumerate() {
+                for (h, label) in self.layout.labels(spaces.get(space), &sample.config)?.into_iter().enumerate() {
                     dist[h][label] += 1.0 / top.len() as f64;
                 }
             }
-            xs.push(self.input(&entry.task.op, &blueprint));
-            targets.push(dist);
+            xs.extend(self.input(&entry.task.op, &blueprint));
+            targets.extend(dist.into_iter().flatten());
         }
         if xs.is_empty() {
             return Ok(());
         }
+        let n = (targets.len() / width) as f64;
         let mut adam = Adam::new(&self.mlp);
         for _ in 0..epochs {
-            adam.step(&mut self.mlp, &xs, lr, |i, output| {
+            adam.step(&mut self.mlp, &xs, lr, |i, output, grad| {
                 let probs = self.layout.head_probs(output);
-                let mut grad = Vec::with_capacity(self.layout.output_width());
-                for (p, t) in probs.iter().zip(&targets[i]) {
-                    for (pi, ti) in p.iter().zip(t) {
-                        grad.push((pi - ti) / xs.len() as f64);
-                    }
+                for ((g, pi), ti) in grad
+                    .iter_mut()
+                    .zip(probs.iter().flatten())
+                    .zip(&targets[i * width..(i + 1) * width])
+                {
+                    *g = (pi - ti) / n;
                 }
-                grad
             });
         }
         Ok(())
@@ -462,15 +466,17 @@ impl PriorNet {
     {
         let mut total = 0.0;
         let mut count = 0usize;
+        let mut spaces = TaskSpaces::default();
         for entry in entries {
             if entry.task.template != self.template {
                 continue;
             }
             let Some(blueprint) = encode(&entry.gpu) else { continue };
-            let space = entry.space();
+            let space = spaces.index(&entry.task);
+            let space = spaces.get(space);
             let probs = self.head_probs(&entry.task.op, &blueprint);
             for sample in entry.top_quantile(quantile) {
-                for (h, label) in self.layout.labels(&space, &sample.config)?.into_iter().enumerate() {
+                for (h, label) in self.layout.labels(space, &sample.config)?.into_iter().enumerate() {
                     total -= probs[h][label].max(1e-12).ln();
                     count += 1;
                 }

@@ -7,16 +7,20 @@
 //!   size/information-loss knob, Fig. 8).
 //! * [`mlp`] — light-weight, weight-only multi-layer perceptrons for the
 //!   prior-distribution generator `H` and the neural acquisition function,
-//!   and the [`mlp::Adam`] optimizer that trains them offline.
+//!   and the [`mlp::Adam`] optimizer that trains them offline on flat
+//!   row-major mini-batches through the same forward routine as
+//!   [`Mlp::predict`].
 //! * [`gp`] — Gaussian-process regression for the DGP baseline (Sun et al.).
 //! * [`gbt`] — gradient-boosted regression trees, the AutoTVM-style
 //!   surrogate cost model.
 //! * [`kmeans`] — clustering for Chameleon's adaptive sampling.
 //! * [`sa`] — batched parallel simulated-annealing chains, the Markov-chain
 //!   search engine of AutoTVM/Chameleon (§4.2).
-//! * [`parallel`] — deterministic chunked fan-out over scoped worker
-//!   threads; the work-distribution layer under [`sa`], [`gbt`], and
-//!   [`gp`]'s hot paths (`--threads` / `GLIMPSE_THREADS` control it).
+//! * [`parallel`] — deterministic fan-out over scoped worker threads that
+//!   claim small blocks of items from a shared counter; the
+//!   work-distribution layer under [`sa`], [`gbt`], and [`gp`]'s hot paths
+//!   and the offline meta-training (`--threads` / `GLIMPSE_THREADS`
+//!   control it).
 //! * [`linalg`], [`stats`] — dense matrices, eigen decomposition, and the
 //!   summary statistics (geomean, quantiles, softmax) the harness reports.
 //!

@@ -7,6 +7,12 @@
 //! state lives in an [`Adam`] for one training run; its step backpropagates
 //! MSE ([`Adam::step_mse`]) or caller-supplied output gradients
 //! ([`Adam::step`]) for softmax/cross-entropy heads.
+//!
+//! A training batch is one flat row-major buffer. It runs through the same
+//! forward routine as [`Mlp::predict`], which keeps one buffer per layer
+//! for the whole batch, and every sum runs in the order a one-row forward
+//! and a sample-by-sample backward would use, so a batch step is
+//! bit-identical to accumulating its samples one at a time.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -82,13 +88,39 @@ impl Dense {
         Ok(())
     }
 
-    fn forward(&self, x: &[f64]) -> Vec<f64> {
-        (0..self.rows)
-            .map(|o| {
-                let row = &self.w[o * self.cols..(o + 1) * self.cols];
-                self.b[o] + row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>()
-            })
-            .collect()
+    /// Writes `b + W·x` for every `cols`-wide row `x` of `xs` into `out`,
+    /// row after row.
+    ///
+    /// Each dot product is summed in input order from `-0.0`, exactly as
+    /// `Iterator::sum` does, but four outputs are summed side by side: the
+    /// four chains of dependent adds overlap instead of waiting on each
+    /// other, and every output keeps its bits.
+    fn forward(&self, xs: &[f64], out: &mut Vec<f64>) {
+        let cols = self.cols;
+        out.clear();
+        for x in xs.chunks_exact(cols) {
+            let mut quads = self.w.chunks_exact(4 * cols);
+            for quad in &mut quads {
+                let (w0, rest) = quad.split_at(cols);
+                let (w1, rest) = rest.split_at(cols);
+                let (w2, w3) = rest.split_at(cols);
+                let mut sums = [-0.0f64; 4];
+                for ((((a, b), c), d), xi) in w0.iter().zip(w1).zip(w2).zip(w3).zip(x) {
+                    sums[0] += a * xi;
+                    sums[1] += b * xi;
+                    sums[2] += c * xi;
+                    sums[3] += d * xi;
+                }
+                out.extend(sums);
+            }
+            for row in quads.remainder().chunks_exact(cols) {
+                out.push(row.iter().zip(x).map(|(w, xi)| w * xi).sum::<f64>());
+            }
+            let start = out.len() - self.rows;
+            for (o, b) in out[start..].iter_mut().zip(&self.b) {
+                *o += b;
+            }
+        }
     }
 }
 
@@ -164,40 +196,46 @@ impl Mlp {
     /// Panics if `x.len() != input_width()`.
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
-        self.forward(x, None)
+        assert_eq!(x.len(), self.input_width(), "input width mismatch");
+        let mut outputs = Vec::new();
+        self.forward(x, &mut outputs);
+        outputs.pop().expect("at least one layer")
     }
 
-    /// Forward pass. With `inputs`, it keeps each layer's input there, in
-    /// layer order, for backprop: entry `i` is what layer `i` consumed.
-    fn forward(&self, x: &[f64], mut inputs: Option<&mut Vec<Vec<f64>>>) -> Vec<f64> {
-        assert_eq!(x.len(), self.input_width(), "input width mismatch");
-        let mut h = x.to_vec();
+    /// Forward pass over the flat row-major batch `xs`. Afterwards
+    /// `outputs[i]` holds layer `i`'s output for every row (activated for
+    /// hidden layers), so layer `i > 0` consumed `outputs[i - 1]` and the
+    /// last entry is the net's output.
+    fn forward(&self, xs: &[f64], outputs: &mut Vec<Vec<f64>>) {
+        assert_eq!(xs.len() % self.input_width(), 0, "input width mismatch");
+        outputs.resize_with(self.layers.len(), Vec::new);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut next = layer.forward(&h);
+            let (done, rest) = outputs.split_at_mut(i);
+            let input = done.last().map_or(xs, Vec::as_slice);
+            layer.forward(input, &mut rest[0]);
             if i != last {
-                for v in &mut next {
+                for v in &mut rest[0] {
                     *v = self.activation.apply(*v);
                 }
             }
-            if let Some(inputs) = inputs.as_deref_mut() {
-                inputs.push(h);
-            }
-            h = next;
         }
-        h
     }
 }
 
 /// The Adam optimizer state of one training run: the step count and the
 /// first and second moments, laid out like the net's layers and starting at
-/// zero. It lives only as long as the training loop that drives it; the
-/// trained [`Mlp`] does not keep it.
+/// zero, plus the per-batch buffers a step reuses. It lives only as long as
+/// the training loop that drives it; the trained [`Mlp`] does not keep it.
 #[derive(Debug)]
 pub struct Adam {
     step: u64,
     m: Vec<Dense>,
     v: Vec<Dense>,
+    grads: Vec<Dense>,
+    outputs: Vec<Vec<f64>>,
+    delta: Vec<f64>,
+    prev: Vec<f64>,
 }
 
 impl Adam {
@@ -208,75 +246,97 @@ impl Adam {
         Self {
             step: 0,
             m: zeros.clone(),
-            v: zeros,
+            v: zeros.clone(),
+            grads: zeros,
+            outputs: Vec::new(),
+            delta: Vec::new(),
+            prev: Vec::new(),
         }
     }
 
-    /// One Adam step on mean-squared error over a batch.
+    /// One Adam step on mean-squared error over a batch: `xs` holds the
+    /// inputs and `ys` the targets, one row after another.
     ///
     /// # Panics
     ///
     /// Panics on width mismatches or an empty batch.
-    pub fn step_mse(&mut self, mlp: &mut Mlp, xs: &[Vec<f64>], ys: &[Vec<f64>], lr: f64) {
-        assert_eq!(xs.len(), ys.len(), "batch inputs/targets must align");
-        self.step(mlp, xs, lr, |i, o| {
-            assert_eq!(o.len(), ys[i].len(), "target width mismatch");
-            o.iter()
-                .zip(&ys[i])
-                .map(|(oi, yi)| 2.0 * (oi - yi) / (xs.len() * o.len()) as f64)
-                .collect()
+    pub fn step_mse(&mut self, mlp: &mut Mlp, xs: &[f64], ys: &[f64], lr: f64) {
+        let width = mlp.output_width();
+        let n = xs.len() / mlp.input_width();
+        assert_eq!(ys.len(), n * width, "batch inputs/targets must align");
+        let scale = (n * width) as f64;
+        self.step(mlp, xs, lr, |i, o, grad| {
+            for ((g, oi), yi) in grad.iter_mut().zip(o).zip(&ys[i * width..(i + 1) * width]) {
+                *g = 2.0 * (oi - yi) / scale;
+            }
         });
     }
 
-    /// One Adam step over a batch. Each sample runs forward once, keeping
-    /// each layer's input; `output_grad(i, output)` returns the gradient of the
-    /// loss w.r.t. sample `i`'s **output** (linear head), which is then
-    /// backpropagated. This is the hook for MSE ([`Adam::step_mse`]),
-    /// softmax cross-entropy heads (`∂L/∂logits = p − onehot`) and
-    /// policy-gradient objectives.
+    /// One Adam step over the flat row-major batch `xs`. The batch runs
+    /// forward once; `output_grad(i, output, grad)` then writes into `grad`
+    /// the gradient of the loss w.r.t. sample `i`'s **output** (linear
+    /// head), which is backpropagated. This is the hook for MSE
+    /// ([`Adam::step_mse`]), softmax cross-entropy heads
+    /// (`∂L/∂logits = p − onehot`) and policy-gradient objectives.
     ///
     /// # Panics
     ///
     /// Panics on width mismatches or an empty batch.
-    pub fn step<G>(&mut self, mlp: &mut Mlp, xs: &[Vec<f64>], lr: f64, mut output_grad: G)
+    pub fn step<G>(&mut self, mlp: &mut Mlp, xs: &[f64], lr: f64, mut output_grad: G)
     where
-        G: FnMut(usize, &[f64]) -> Vec<f64>,
+        G: FnMut(usize, &[f64], &mut [f64]),
     {
         assert!(!xs.is_empty(), "empty training batch");
-        let n_layers = mlp.layers.len();
-        // Accumulated gradients.
-        let mut grads: Vec<Dense> = mlp.layers.iter().map(Dense::zeros_like).collect();
+        mlp.forward(xs, &mut self.outputs);
+        let n = xs.len() / mlp.input_width();
+        let width = mlp.output_width();
+        let (delta, prev) = (&mut self.delta, &mut self.prev);
+        delta.clear();
+        delta.resize(n * width, 0.0);
+        let outputs = self.outputs.last().expect("at least one layer");
+        for (i, (o, d)) in outputs.chunks_exact(width).zip(delta.chunks_exact_mut(width)).enumerate() {
+            output_grad(i, o, d);
+        }
 
-        for (sample, x) in xs.iter().enumerate() {
-            let mut inputs = Vec::with_capacity(n_layers);
-            let output = mlp.forward(x, Some(&mut inputs));
-            let mut delta = output_grad(sample, &output);
-            assert_eq!(delta.len(), mlp.output_width(), "output grad width mismatch");
-            for i in (0..n_layers).rev() {
-                let layer = &mlp.layers[i];
-                let grad = &mut grads[i];
-                for (o, d) in delta.iter().enumerate() {
+        // Backprop layer by layer, samples in order within each layer: every
+        // gradient entry still sums its samples in batch order.
+        for g in &mut self.grads {
+            g.w.fill(0.0);
+            g.b.fill(0.0);
+        }
+        for i in (0..mlp.layers.len()).rev() {
+            let layer = &mlp.layers[i];
+            let (rows, cols) = (layer.rows, layer.cols);
+            let input = if i == 0 { xs } else { &self.outputs[i - 1] };
+            let grad = &mut self.grads[i];
+            for (d, x) in delta.chunks_exact(rows).zip(input.chunks_exact(cols)) {
+                for (o, d) in d.iter().enumerate() {
                     grad.b[o] += d;
-                    let row = &mut grad.w[o * layer.cols..(o + 1) * layer.cols];
-                    for (g, xi) in row.iter_mut().zip(&inputs[i]) {
+                    for (g, xi) in grad.w[o * cols..(o + 1) * cols].iter_mut().zip(x) {
                         *g += d * xi;
                     }
                 }
-                if i > 0 {
-                    let mut prev = vec![0.0; layer.cols];
-                    for (o, d) in delta.iter().enumerate() {
-                        let row = &layer.w[o * layer.cols..(o + 1) * layer.cols];
-                        for (p, w) in prev.iter_mut().zip(row) {
+            }
+            if i > 0 {
+                prev.clear();
+                prev.resize(n * cols, 0.0);
+                for ((d, p), a) in delta
+                    .chunks_exact(rows)
+                    .zip(prev.chunks_exact_mut(cols))
+                    .zip(input.chunks_exact(cols))
+                {
+                    for (o, d) in d.iter().enumerate() {
+                        for (p, w) in p.iter_mut().zip(&layer.w[o * cols..(o + 1) * cols]) {
                             *p += d * w;
                         }
                     }
                     // Activation derivative uses the *activated* value,
                     // which is layer `i`'s input.
-                    for (p, a) in prev.iter_mut().zip(&inputs[i]) {
+                    for (p, a) in p.iter_mut().zip(a) {
                         *p *= mlp.activation.derivative(*a);
                     }
-                    delta = prev;
                 }
+                std::mem::swap(delta, prev);
             }
         }
 
@@ -286,7 +346,7 @@ impl Adam {
         let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
         let bias1 = 1.0 - b1.powf(t);
         let bias2 = 1.0 - b2.powf(t);
-        for (((layer, grad), m), v) in mlp.layers.iter_mut().zip(&grads).zip(&mut self.m).zip(&mut self.v) {
+        for (((layer, grad), m), v) in mlp.layers.iter_mut().zip(&self.grads).zip(&mut self.m).zip(&mut self.v) {
             for (param, g, m, v) in [
                 (&mut layer.w, &grad.w, &mut m.w, &mut v.w),
                 (&mut layer.b, &grad.b, &mut m.b, &mut v.b),
@@ -322,12 +382,17 @@ mod tests {
         let mut mlp = Mlp::new(&[2, 16, 1], Activation::Tanh, &mut rng);
         let mut adam = Adam::new(&mlp);
         use rand::Rng;
-        let xs: Vec<Vec<f64>> = (0..64).map(|_| vec![rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)]).collect();
-        let ys: Vec<Vec<f64>> = xs.iter().map(|x| vec![0.7 * x[0] - 0.3 * x[1] + 0.1]).collect();
+        let xs: Vec<f64> = (0..128).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let ys: Vec<f64> = xs.chunks_exact(2).map(|x| 0.7 * x[0] - 0.3 * x[1] + 0.1).collect();
         for _ in 0..400 {
             adam.step_mse(&mut mlp, &xs, &ys, 0.01);
         }
-        let mse = xs.iter().zip(&ys).map(|(x, y)| (mlp.predict(x)[0] - y[0]).powi(2)).sum::<f64>() / xs.len() as f64;
+        let mse = xs
+            .chunks_exact(2)
+            .zip(&ys)
+            .map(|(x, y)| (mlp.predict(x)[0] - y).powi(2))
+            .sum::<f64>()
+            / ys.len() as f64;
         assert!(mse < 1e-3, "final MSE {mse}");
     }
 
@@ -336,14 +401,14 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut mlp = Mlp::new(&[2, 16, 16, 1], Activation::Relu, &mut rng);
         let mut adam = Adam::new(&mlp);
-        let xs = vec![vec![0.0, 0.0], vec![0.0, 1.0], vec![1.0, 0.0], vec![1.0, 1.0]];
-        let ys = vec![vec![0.0], vec![1.0], vec![1.0], vec![0.0]];
+        let xs = [0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0];
+        let ys = [0.0, 1.0, 1.0, 0.0];
         for _ in 0..2000 {
             adam.step_mse(&mut mlp, &xs, &ys, 0.01);
         }
-        for (x, y) in xs.iter().zip(&ys) {
+        for (x, y) in xs.chunks_exact(2).zip(&ys) {
             let p = mlp.predict(x)[0];
-            assert!((p - y[0]).abs() < 0.2, "xor({x:?}) = {p}");
+            assert!((p - y).abs() < 0.2, "xor({x:?}) = {p}");
         }
     }
 
@@ -352,20 +417,56 @@ mod tests {
         use crate::stats::softmax;
         let mut rng = StdRng::seed_from_u64(3);
         let mut mlp = Mlp::new(&[3, 16, 4], Activation::Relu, &mut rng);
-        let xs = vec![vec![1.0, 0.0, 0.0], vec![0.0, 1.0, 0.0], vec![0.0, 0.0, 1.0]];
+        let xs = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0];
         let targets = [0usize, 1, 2];
-        let ce = |mlp: &Mlp| -> f64 { xs.iter().zip(targets).map(|(x, t)| -softmax(&mlp.predict(x))[t].ln()).sum::<f64>() };
+        let ce = |mlp: &Mlp| -> f64 {
+            xs.chunks_exact(3)
+                .zip(targets)
+                .map(|(x, t)| -softmax(&mlp.predict(x))[t].ln())
+                .sum::<f64>()
+        };
         let before = ce(&mlp);
         let mut adam = Adam::new(&mlp);
         for _ in 0..200 {
-            adam.step(&mut mlp, &xs, 0.01, |i, out| {
-                let mut p = softmax(out);
-                p[targets[i]] -= 1.0;
-                p
+            adam.step(&mut mlp, &xs, 0.01, |i, out, grad| {
+                grad.copy_from_slice(&softmax(out));
+                grad[targets[i]] -= 1.0;
             });
         }
         let after = ce(&mlp);
         assert!(after < before * 0.2, "CE {before} -> {after}");
+    }
+
+    #[test]
+    fn batched_forward_matches_a_plain_per_row_reference_bitwise() {
+        // Widths that leave remainders after the four-output blocks.
+        let mut rng = StdRng::seed_from_u64(6);
+        let mlp = Mlp::new(&[7, 9, 6, 3], Activation::Tanh, &mut rng);
+        let reference = |x: &[f64]| -> Vec<f64> {
+            let mut h = x.to_vec();
+            for (i, layer) in mlp.layers.iter().enumerate() {
+                h = (0..layer.rows)
+                    .map(|o| {
+                        let row = &layer.w[o * layer.cols..(o + 1) * layer.cols];
+                        let z = layer.b[o] + row.iter().zip(&h).map(|(w, xi)| w * xi).sum::<f64>();
+                        if i + 1 < mlp.layers.len() {
+                            mlp.activation.apply(z)
+                        } else {
+                            z
+                        }
+                    })
+                    .collect();
+            }
+            h
+        };
+        let xs: Vec<f64> = (0..5 * 7).map(|_| rng.gen_range(-2.0..2.0)).collect();
+        let mut outputs = Vec::new();
+        mlp.forward(&xs, &mut outputs);
+        for (x, batched) in xs.chunks_exact(7).zip(outputs[2].chunks_exact(3)) {
+            let bits = |v: &[f64]| v.iter().map(|y| y.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&mlp.predict(x)), bits(&reference(x)));
+            assert_eq!(bits(batched), bits(&reference(x)));
+        }
     }
 
     #[test]

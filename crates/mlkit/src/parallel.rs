@@ -3,8 +3,12 @@
 //! Every compile-time loop the paper counts (SA chain updates, surrogate
 //! fits, kernel-matrix assembly, candidate scoring) is embarrassingly
 //! parallel *per item*, so this module provides exactly one abstraction:
-//! chunked fan-out of an indexed map over scoped worker threads, with
-//! results always returned in input order.
+//! an indexed map over scoped worker threads, with results always returned
+//! in input order. Workers claim small blocks of consecutive items from a
+//! shared counter rather than taking one fixed contiguous chunk each, so a
+//! batch of items of uneven cost (such as the six meta-net trainings of
+//! glimpse-core's `GlimpseArtifacts::train_with`, one item per block) keeps
+//! every worker busy until the last block is claimed.
 //!
 //! **Determinism contract:** callers must make each item's computation a
 //! pure function of `(index, item)` — per-item randomness is derived by
@@ -111,9 +115,10 @@ impl Default for Threads {
 /// Maps `f(index, &item)` over `items` on up to `threads` scoped workers,
 /// returning results in input order.
 ///
-/// Items are dealt out as contiguous chunks, one per worker; with one
-/// worker (or ≤ 1 item) the map runs inline with zero thread overhead.
-/// A panic in any worker is resumed on the caller thread.
+/// Workers claim small blocks of consecutive items from a shared counter,
+/// so items of uneven cost keep every worker busy; with one worker (or
+/// ≤ 1 item) the loop runs inline on the caller thread. A panic in any
+/// worker is resumed on the caller thread.
 ///
 /// # Examples
 ///
@@ -137,51 +142,27 @@ impl Default for Threads {
 /// let mut rng = StdRng::seed_from_u64(7);
 /// let noisy = parallel_map(Threads::fixed(2), &[1.0f64, 2.0], |_, x| x + rng.gen::<f64>());
 /// ```
-// The scope join proves every worker wrote its slots; an empty slot after
-// the join is unreachable.
+// With a `go` that never turns false, every block is claimed and mapped, so
+// none is missing.
 pub fn parallel_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let n = items.len();
-    let workers = threads.resolve().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-    let f = &f;
-    let result = crossbeam::thread::scope(|s| {
-        for (w, out_chunk) in out.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            s.spawn(move |_| {
-                for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                    let i = start + offset;
-                    *slot = Some(f(i, &items[i]));
-                }
-            });
-        }
-    });
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
-    out.into_iter().map(|r| r.expect("worker filled its slot")).collect()
+    fan_out(threads, items, f, || true).expect("every item was mapped")
 }
 
 /// Cancellable variant of [`parallel_map`]: `None` if `cancel` trips
 /// before the map completes, `Some(results)` otherwise — never a partial
 /// result set.
 ///
-/// Workers poll the token between items and stop early once it trips; the
-/// whole batch is then discarded. All-or-nothing is what keeps the
-/// determinism contract intact under cancellation: a consumer either sees
-/// the exact `Vec` the uninterrupted run would produce, or nothing — so a
-/// cancelled search replays as a clean prefix of the uninterrupted one.
-/// (Cancellation is monotonic, so the final check subsumes any empty slot
-/// a worker left behind.)
+/// Workers poll the token before mapping each item and stop once it
+/// trips; the whole batch is then discarded. All-or-nothing is what keeps
+/// the determinism contract intact under cancellation: a consumer either
+/// sees the exact `Vec` the uninterrupted run would produce, or nothing —
+/// so a cancelled search replays as a clean prefix of the uninterrupted
+/// one.
 ///
 /// # Examples
 ///
@@ -197,51 +178,82 @@ where
 /// let cut = parallel_map_cancellable(Threads::fixed(2), &token, &[1i64, 2, 3], |_, x| x * x);
 /// assert_eq!(cut, None);
 /// ```
-// The scope join proves every surviving slot was written; cancellation
-// discards the batch before the unwrap.
 pub fn parallel_map_cancellable<T, R, F>(threads: Threads, cancel: &glimpse_supervise::CancelToken, items: &[T], f: F) -> Option<Vec<R>>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    let out = fan_out(threads, items, f, || !cancel.is_cancelled());
+    // Cancellation is monotonic: a token that tripped during the last item
+    // discards the batch even though every block was mapped.
+    out.filter(|_| !cancel.is_cancelled())
+}
+
+/// Blocks each worker's share of a map is cut into (see [`fan_out`]).
+const BLOCKS_PER_WORKER: usize = 8;
+
+/// The worker loop under both maps. The items are cut into blocks of
+/// consecutive indices, about [`BLOCKS_PER_WORKER`] per worker (so each of
+/// a handful of items is a block of its own). Each worker claims the next
+/// block from one counter while `go()` holds, and the blocks are put back
+/// in input order after the join. A block rather than a single item is
+/// the unit of claim because a claim costs a contended atomic, more than a
+/// sub-microsecond item such as one featurization. With one worker the
+/// loop runs inline and claims everything as one block. `None` if `go`
+/// stopped the loop before every item was mapped.
+fn fan_out<T, R, F, G>(threads: Threads, items: &[T], f: F, go: G) -> Option<Vec<R>>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+    G: Fn() -> bool + Sync,
+{
     let n = items.len();
-    let workers = threads.resolve().min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        let mut out = Vec::with_capacity(n);
-        for (i, t) in items.iter().enumerate() {
-            if cancel.is_cancelled() {
-                return None;
-            }
-            out.push(f(i, t));
-        }
-        return (!cancel.is_cancelled()).then_some(out);
-    }
-    let mut out: Vec<Option<R>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
-    let f = &f;
-    let result = crossbeam::thread::scope(|s| {
-        for (w, out_chunk) in out.chunks_mut(chunk).enumerate() {
-            let start = w * chunk;
-            s.spawn(move |_| {
-                for (offset, slot) in out_chunk.iter_mut().enumerate() {
-                    if cancel.is_cancelled() {
-                        break;
-                    }
-                    let i = start + offset;
-                    *slot = Some(f(i, &items[i]));
+    let workers = threads.resolve().min(n).max(1);
+    let block = if workers == 1 { n } else { n.div_ceil(workers * BLOCKS_PER_WORKER) }.max(1);
+    let next = AtomicUsize::new(0);
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the counter hands out block numbers and publishes
+            // nothing; results reach the caller through the scope's join.
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            let Some(block_items) = items.chunks(block).nth(b) else { break };
+            let mut results = Vec::with_capacity(block_items.len());
+            for (i, item) in (b * block..).zip(block_items) {
+                if !go() {
+                    return done;
                 }
-            });
+                results.push(f(i, item));
+            }
+            done.push((b, results));
         }
-    });
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
+        done
+    };
+    let mut parts: Vec<Vec<(usize, Vec<R>)>> = (0..workers).map(|_| Vec::new()).collect();
+    if let [only] = parts.as_mut_slice() {
+        *only = work();
+    } else {
+        let work = &work;
+        let joined = crossbeam::thread::scope(|s| {
+            for part in &mut parts {
+                s.spawn(move |_| *part = work());
+            }
+        });
+        if let Err(payload) = joined {
+            std::panic::resume_unwind(payload);
+        }
     }
-    if cancel.is_cancelled() {
-        return None;
+    let mut blocks: Vec<Option<Vec<R>>> = (0..n.div_ceil(block)).map(|_| None).collect();
+    for (b, results) in parts.into_iter().flatten() {
+        blocks[b] = Some(results);
     }
-    Some(out.into_iter().map(|r| r.expect("worker filled its slot")).collect())
+    match blocks.len() {
+        0 => Some(Vec::new()),
+        1 => blocks.pop().flatten(),
+        _ => Some(blocks.into_iter().collect::<Option<Vec<_>>>()?.into_iter().flatten().collect()),
+    }
 }
 
 /// Index-only variant of [`parallel_map`]: maps `f(i)` over `0..n`.
@@ -310,6 +322,40 @@ mod tests {
             })
         });
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn uneven_items_keep_input_order_at_any_worker_count() {
+        // Item cost falls steeply with the index, so the early items are
+        // still running while the later ones are claimed and finished.
+        let items: Vec<u64> = (0..40).collect();
+        let f = |i: usize, x: &u64| {
+            let spins = if i < 3 { 200_000 } else { 50 };
+            let mut acc = *x;
+            for k in 0..spins {
+                acc = std::hint::black_box(acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(k));
+            }
+            (i, acc)
+        };
+        let one = parallel_map(Threads::fixed(1), &items, f);
+        assert!(one.iter().enumerate().all(|(i, (j, _))| i == *j));
+        for workers in [3, 8] {
+            assert_eq!(parallel_map(Threads::fixed(workers), &items, f), one, "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn panic_in_the_last_item_propagates() {
+        let items: Vec<usize> = (0..17).collect();
+        for workers in [1usize, 3, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map(Threads::fixed(workers), &items, |i, &x| {
+                    assert!(i != items.len() - 1, "boom");
+                    x
+                })
+            });
+            assert!(caught.is_err(), "workers={workers}");
+        }
     }
 
     #[test]

@@ -23,10 +23,17 @@
 //! the tree builder never spawns threads, so the fitted ensemble is the same
 //! at every thread count.
 //!
-//! **Flat forests.** All trees live in one pre-order node vector (a split's
-//! left child is the node after it), so a warm start clones one allocation
-//! rather than one per node. Prediction costs what it did with boxed nodes:
-//! each step waits on a data-dependent compare, wherever the node lives.
+//! **Flat forests.** Every tree is stored complete to `D = max_depth`: its
+//! `2^D − 1` splits in heap order (node `i`'s children are `2i + 1` and
+//! `2i + 2`) and its `2^D` leaves, all trees back to back in three flat
+//! vectors, so a warm start clones three allocations rather than one per
+//! node. A leaf that growth reaches above depth `D` fills every leaf of its
+//! subtree with its value, under padding splits that may go either way. A
+//! prediction walks exactly `D` levels per tree with no data-dependent
+//! branch, `i = 2i + 2 − [x[f] <= t]`, so the walks of successive trees
+//! overlap instead of each waiting on its compares. At the default depth 4
+//! a tree takes 308 bytes. [`MAX_DEPTH`] caps the depth, because the layout
+//! grows as `2^D` whether or not a tree fills it.
 //!
 //! [`Gbt::fit_incremental`] warm-starts boosting from an existing forest:
 //! new trees are fitted to the residuals of the current predictions, so a
@@ -44,7 +51,7 @@ use serde::{Deserialize, Serialize};
 pub struct GbtParams {
     /// Number of boosting rounds.
     pub trees: usize,
-    /// Maximum tree depth.
+    /// Maximum tree depth, at most [`MAX_DEPTH`].
     pub max_depth: usize,
     /// Shrinkage (learning rate).
     pub learning_rate: f64,
@@ -66,29 +73,26 @@ impl Default for GbtParams {
     }
 }
 
-/// `Node::feature` of a leaf.
-const LEAF: u32 = u32::MAX;
+/// The deepest tree [`Gbt::fit`] accepts. Every tree stores `2^max_depth`
+/// leaves, 20 KB per tree at this cap.
+pub const MAX_DEPTH: usize = 10;
 
-/// One node of a flattened tree. Nodes are stored in pre-order, so a
-/// split's left child is the next node.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    /// Split feature, or [`LEAF`].
-    feature: u32,
-    /// Index of a split's right child.
-    right: u32,
-    /// A split's threshold (`x[feature] <= value` goes left), or the leaf value.
-    value: f64,
-}
+/// Marks a padding split, one under a leaf that growth reached above the
+/// full depth. Its feature index is 0 (the bit is masked off in the walk),
+/// and every leaf below it holds the same value.
+const PADDING: u32 = 1 << 31;
 
 /// A fitted gradient-boosted tree ensemble (squared loss).
 #[derive(Debug, Clone)]
 pub struct Gbt {
     base: f64,
-    /// Every tree's nodes; each tree is contiguous and in pre-order.
-    nodes: Vec<Node>,
-    /// Index of each tree's root in `nodes`.
-    roots: Vec<u32>,
+    /// Each tree's `2^D − 1` split features in heap order, trees back to
+    /// back; a padding split has [`PADDING`] set.
+    features: Vec<u32>,
+    /// The split thresholds, laid out like `features`: `x[f] <= t` goes left.
+    thresholds: Vec<f64>,
+    /// Each tree's `2^D` leaf values, left to right, trees back to back.
+    leaves: Vec<f64>,
     params: GbtParams,
 }
 
@@ -113,17 +117,21 @@ impl Gbt {
     ///
     /// # Panics
     ///
-    /// Panics if the training set is empty or ragged.
+    /// Panics if the training set is empty, ragged or has no features, or
+    /// if `params.max_depth` exceeds [`MAX_DEPTH`].
     #[must_use]
     pub fn fit<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(xs: &[X], ys: &[f64], params: GbtParams, rng: &mut R) -> Self {
         assert!(!xs.is_empty(), "empty training set");
         assert_eq!(xs.len(), ys.len());
+        assert!(params.max_depth <= MAX_DEPTH, "max_depth {} exceeds {MAX_DEPTH}", params.max_depth);
         let base = ys.iter().sum::<f64>() / ys.len() as f64;
         let mut residuals: Vec<f64> = ys.iter().map(|y| y - base).collect();
+        let (splits, leaves) = tree_size(params.max_depth);
         let mut forest = Self {
             base,
-            nodes: Vec::new(),
-            roots: Vec::with_capacity(params.trees),
+            features: Vec::with_capacity(params.trees * splits),
+            thresholds: Vec::with_capacity(params.trees * splits),
+            leaves: Vec::with_capacity(params.trees * leaves),
             params,
         };
         forest.boost(xs, &mut residuals, params.trees, rng);
@@ -153,8 +161,14 @@ impl Gbt {
         assert_eq!(xs.len(), ys.len());
         let preds = self.predict_batch(xs);
         let mut residuals: Vec<f64> = ys.iter().zip(&preds).map(|(y, p)| y - p).collect();
-        let mut forest = self.clone();
-        forest.roots.reserve(extra_trees);
+        let (splits, leaves) = tree_size(self.params.max_depth);
+        let mut forest = Self {
+            base: self.base,
+            features: with_room(&self.features, extra_trees * splits),
+            thresholds: with_room(&self.thresholds, extra_trees * splits),
+            leaves: with_room(&self.leaves, extra_trees * leaves),
+            params: self.params,
+        };
         forest.boost(xs, &mut residuals, extra_trees, rng);
         forest
     }
@@ -163,9 +177,18 @@ impl Gbt {
     /// updating the residuals in place with shrinkage after each round.
     fn boost<X: AsRef<[f64]>, R: Rng + ?Sized>(&mut self, xs: &[X], residuals: &mut [f64], rounds: usize, rng: &mut R) {
         let mut builder = TreeBuilder::new(xs, &self.params);
+        let (splits, leaves) = tree_size(self.params.max_depth);
         for _ in 0..rounds {
-            self.roots.push(node_index(self.nodes.len()));
-            builder.build(residuals, &mut self.nodes, rng);
+            let (at, leaf_at) = (self.features.len(), self.leaves.len());
+            self.features.resize(at + splits, PADDING);
+            self.thresholds.resize(at + splits, 0.0);
+            self.leaves.resize(leaf_at + leaves, 0.0);
+            let tree = Tree {
+                features: &mut self.features[at..],
+                thresholds: &mut self.thresholds[at..],
+                leaves: &mut self.leaves[leaf_at..],
+            };
+            builder.build(residuals, tree, rng);
             // A training row's tree prediction is the value of the leaf the
             // build partitioned it into.
             for (r, p) in residuals.iter_mut().zip(&builder.fitted) {
@@ -174,26 +197,26 @@ impl Gbt {
         }
     }
 
-    /// The prediction of the tree rooted at `root`.
-    fn eval(&self, root: u32, x: &[f64]) -> f64 {
-        let mut i = root as usize;
-        loop {
-            let node = self.nodes[i];
-            if node.feature == LEAF {
-                return node.value;
-            }
-            i = if x[node.feature as usize] <= node.value {
-                i + 1
-            } else {
-                node.right as usize
-            };
-        }
-    }
-
-    /// Predicted value at `x`.
+    /// Predicted value at `x`: each tree walks its `D` levels, and the
+    /// leaves are summed in tree order.
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> f64 {
-        self.base + self.params.learning_rate * self.roots.iter().map(|&root| self.eval(root, x)).sum::<f64>()
+        let depth = self.params.max_depth;
+        let (splits, leaves) = tree_size(depth);
+        let sum = (0..self.len())
+            .map(|tree| {
+                let features = &self.features[tree * splits..(tree + 1) * splits];
+                let thresholds = &self.thresholds[tree * splits..(tree + 1) * splits];
+                let mut i = 0;
+                for _ in 0..depth {
+                    let value = x[(features[i] & !PADDING) as usize];
+                    // Left child `2i + 1` if `x[f] <= t`, else right; NaN goes right.
+                    i = 2 * i + 2 - usize::from(value <= thresholds[i]);
+                }
+                self.leaves[tree * leaves + i - splits]
+            })
+            .sum::<f64>();
+        self.base + self.params.learning_rate * sum
     }
 
     /// Predicted values for a batch of rows, fanned out across worker
@@ -211,13 +234,13 @@ impl Gbt {
     /// Number of fitted trees.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.roots.len()
+        self.leaves.len() >> self.params.max_depth
     }
 
     /// Whether the ensemble has no trees.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.roots.is_empty()
+        self.leaves.is_empty()
     }
 
     /// The root split of tree `t` as `(feature, threshold)`, if it split.
@@ -226,16 +249,41 @@ impl Gbt {
     #[doc(hidden)]
     #[must_use]
     pub fn root_split(&self, t: usize) -> Option<(usize, f64)> {
-        let root = self.nodes[*self.roots.get(t)? as usize];
-        (root.feature != LEAF).then_some((root.feature as usize, root.value))
+        let root = t * tree_size(self.params.max_depth).0;
+        let feature = *self.features.get(root)?;
+        (feature & PADDING == 0).then(|| (feature as usize, self.thresholds[root]))
     }
 }
 
-/// A row or node position as stored in the `u32` orders and node links.
-// 2^32 rows or nodes would need tens of GB of presorted columns or nodes;
-// past that, the fit cannot run at all.
-fn node_index(i: usize) -> u32 {
-    u32::try_from(i).expect("GBT row and node counts fit in u32")
+/// Splits and leaves of one complete tree of depth `depth`.
+fn tree_size(depth: usize) -> (usize, usize) {
+    let leaves = 1 << depth;
+    (leaves - 1, leaves)
+}
+
+/// A copy of `values` with room for `extra` more, in one allocation.
+fn with_room<T: Copy>(values: &[T], extra: usize) -> Vec<T> {
+    let mut copy = Vec::with_capacity(values.len() + extra);
+    copy.extend_from_slice(values);
+    copy
+}
+
+/// One tree's slots in the forest vectors, as [`TreeBuilder::grow`] fills
+/// them.
+struct Tree<'a> {
+    features: &'a mut [u32],
+    thresholds: &'a mut [f64],
+    leaves: &'a mut [f64],
+}
+
+/// A row position, or a feature index, as stored in `u32`.
+// 2^31 rows would need tens of GB of presorted columns, and a feature index
+// must leave `PADDING`'s bit clear; past that, the fit cannot run at all.
+fn u32_index(i: usize) -> u32 {
+    u32::try_from(i)
+        .ok()
+        .filter(|&i| i & PADDING == 0)
+        .expect("GBT rows and features fit in 31 bits")
 }
 
 /// Stable-sorts `order` (row indices) by `values[row]` under `total_cmp`.
@@ -271,6 +319,7 @@ impl<'p> TreeBuilder<'p> {
     fn new<X: AsRef<[f64]>>(xs: &[X], params: &'p GbtParams) -> Self {
         let rows = xs.len();
         let width = xs[0].as_ref().len();
+        assert!(width > 0, "rows need at least one feature");
         assert!(xs.iter().all(|x| x.as_ref().len() == width), "ragged features");
         let mut cols = vec![0.0; rows * width];
         for (row, x) in xs.iter().enumerate() {
@@ -278,7 +327,7 @@ impl<'p> TreeBuilder<'p> {
                 cols[f * rows + row] = v;
             }
         }
-        let identity: Vec<u32> = (0..node_index(rows)).collect();
+        let identity: Vec<u32> = (0..u32_index(rows)).collect();
         let mut presorted = Vec::with_capacity(rows * width);
         for values in cols.chunks_exact(rows) {
             let start = presorted.len();
@@ -300,17 +349,29 @@ impl<'p> TreeBuilder<'p> {
         }
     }
 
-    /// Grows one tree on `targets`, appending its nodes in pre-order and
-    /// recording each row's leaf value in `fitted`.
-    fn build<R: Rng + ?Sized>(&mut self, targets: &[f64], nodes: &mut Vec<Node>, rng: &mut R) {
+    /// Grows one tree on `targets` into `tree`, whose splits are all
+    /// padding, and records each row's leaf value in `fitted`.
+    fn build<R: Rng + ?Sized>(&mut self, targets: &[f64], mut tree: Tree<'_>, rng: &mut R) {
         self.orders.copy_from_slice(&self.presorted);
         for (row, i) in self.by_row.iter_mut().zip(0..) {
             *row = i;
         }
-        self.grow(targets, nodes, 0, self.rows, self.params.max_depth, rng);
+        self.grow(targets, &mut tree, 0, 0, self.rows, self.params.max_depth, rng);
     }
 
-    fn grow<R: Rng + ?Sized>(&mut self, targets: &[f64], nodes: &mut Vec<Node>, lo: usize, hi: usize, depth: usize, rng: &mut R) {
+    /// Grows heap node `node`, which owns the rows `[lo, hi)` and has
+    /// `depth` levels below it.
+    #[expect(clippy::too_many_arguments, reason = "one recursive step of the tree builder")]
+    fn grow<R: Rng + ?Sized>(
+        &mut self,
+        targets: &[f64],
+        tree: &mut Tree<'_>,
+        node: usize,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+        rng: &mut R,
+    ) {
         let n = hi - lo;
         let mean: f64 = self.by_row[lo..hi].iter().map(|&r| targets[r as usize]).sum::<f64>() / n.max(1) as f64;
         let split = if depth == 0 || n < self.params.min_samples_split {
@@ -322,24 +383,18 @@ impl<'p> TreeBuilder<'p> {
             for &row in &self.by_row[lo..hi] {
                 self.fitted[row as usize] = mean;
             }
-            nodes.push(Node {
-                feature: LEAF,
-                right: 0,
-                value: mean,
-            });
+            // The subtree's leaves, `2^depth` of them, start at heap index
+            // `(node + 1)·2^depth − 1`; the leaf row starts at `splits`.
+            let first = ((node + 1) << depth) - tree.leaves.len();
+            tree.leaves[first..first + (1 << depth)].fill(mean);
             return;
         };
-        let at = nodes.len();
-        nodes.push(Node {
-            feature: node_index(feature),
-            right: 0,
-            value: threshold,
-        });
+        tree.features[node] = u32_index(feature);
+        tree.thresholds[node] = threshold;
         // Children at depth 0 are leaves: they need only the row segment.
         let mid = self.partition(feature, threshold, lo, hi, depth > 1);
-        self.grow(targets, nodes, lo, mid, depth - 1, rng);
-        nodes[at].right = node_index(nodes.len());
-        self.grow(targets, nodes, mid, hi, depth - 1, rng);
+        self.grow(targets, tree, 2 * node + 1, lo, mid, depth - 1, rng);
+        self.grow(targets, tree, 2 * node + 2, mid, hi, depth - 1, rng);
     }
 
     /// The best `(feature, threshold)` for the node owning `[lo, hi)`, if
@@ -473,7 +528,7 @@ fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>)
 #[must_use]
 pub fn prefix_sum_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
     let values: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
-    let mut order: Vec<u32> = indices.iter().map(|&i| node_index(i)).collect();
+    let mut order: Vec<u32> = indices.iter().map(|&i| u32_index(i)).collect();
     sort_rows(&values, &mut order);
     sweep(&values, &order, targets, &mut Vec::new())
 }
@@ -977,7 +1032,9 @@ mod tests {
     /// Rows whose columns cover what the tuners fit: continuous, 2–10
     /// distinct values, constant, mixed `-0.0`/`0.0` (alone and with a
     /// third value), and a duplicate column whose gains tie an earlier one.
-    fn mixed_columns(rows: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    /// With `non_finite`, one more column mixes NaN and ±∞ into finite
+    /// values.
+    fn mixed_columns(rows: usize, seed: u64, non_finite: bool) -> (Vec<Vec<f64>>, Vec<f64>) {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
         let levels: Vec<u32> = (0..3).map(|_| rng.gen_range(2..=10)).collect();
@@ -987,7 +1044,11 @@ mod tests {
                 let d: Vec<f64> = levels.iter().map(|&k| f64::from(rng.gen_range(0..k))).collect();
                 let zero = if rng.gen::<bool>() { -0.0 } else { 0.0 };
                 let signed = [-0.0, 0.0, 1.0][rng.gen_range(0..3usize)];
-                vec![c, d[0], 7.5, d[1], zero, signed, rng.gen_range(0.0..1.0), d[2], d[0], -c]
+                let mut x = vec![c, d[0], 7.5, d[1], zero, signed, rng.gen_range(0.0..1.0), d[2], d[0], -c];
+                if non_finite {
+                    x.push([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 3.0 * c, 1.0][rng.gen_range(0..5usize)]);
+                }
+                x
             })
             .collect();
         let ys = xs
@@ -1004,12 +1065,19 @@ mod tests {
         fn presorted_builder_matches_per_node_sort_reference(
             rows in 4usize..600,
             seed in 0u64..1_000_000,
+            max_depth in 0usize..=5,
+            split_rule in 0usize..4,
+            non_finite in 0u8..2,
         ) {
             // Row counts straddle the warm start's PARALLEL_PREDICT_ROWS, the
-            // one fan-out a fit reaches.
-            let (xs, ys) = mixed_columns(rows, seed);
+            // one fan-out a fit reaches. Shallow depths and a large
+            // `min_samples_split` stop trees early, down to leaf roots.
+            let min_samples_split = [2, 4, rows / 2, rows + 1][split_rule];
+            let (xs, ys) = mixed_columns(rows, seed, non_finite == 1);
             let params = GbtParams {
                 trees: 4,
+                max_depth,
+                min_samples_split,
                 feature_fraction: 0.8,
                 ..GbtParams::default()
             };

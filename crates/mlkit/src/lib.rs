@@ -8,14 +8,15 @@
 //! * [`mlp`] — light-weight, weight-only multi-layer perceptrons for the
 //!   prior-distribution generator `H` and the neural acquisition function,
 //!   and the [`mlp::Adam`] optimizer that trains them offline on flat
-//!   row-major mini-batches through the same forward routine as
+//!   row-major mini-batches through the same layer kernel as
 //!   [`Mlp::predict`].
 //! * [`gp`] — Gaussian-process regression for the DGP baseline (Sun et al.).
 //! * [`gbt`] — gradient-boosted regression trees, the AutoTVM-style
 //!   surrogate cost model.
 //! * [`kmeans`] — clustering for Chameleon's adaptive sampling.
 //! * [`sa`] — batched parallel simulated-annealing chains, the Markov-chain
-//!   search engine of AutoTVM/Chameleon (§4.2).
+//!   search engine of AutoTVM/Chameleon (§4.2); each chain scores a state
+//!   once.
 //! * [`parallel`] — deterministic fan-out over scoped worker threads that
 //!   claim small blocks of items from a shared counter; the
 //!   work-distribution layer under [`sa`], [`gbt`], and [`gp`]'s hot paths

@@ -9,8 +9,9 @@
 //! ([`Adam::step`]) for softmax/cross-entropy heads.
 //!
 //! A training batch is one flat row-major buffer. It runs through the same
-//! forward routine as [`Mlp::predict`], which keeps one buffer per layer
-//! for the whole batch, and every sum runs in the order a one-row forward
+//! layer kernel as [`Mlp::predict`], keeping one buffer per layer for the
+//! whole batch because backprop reads them (a one-row predict ping-pongs
+//! two buffers instead), and every sum runs in the order a one-row forward
 //! and a sample-by-sample backward would use, so a batch step is
 //! bit-identical to accumulating its samples one at a time.
 
@@ -98,6 +99,7 @@ impl Dense {
     fn forward(&self, xs: &[f64], out: &mut Vec<f64>) {
         let cols = self.cols;
         out.clear();
+        out.reserve(xs.len() / cols * self.rows);
         for x in xs.chunks_exact(cols) {
             let mut quads = self.w.chunks_exact(4 * cols);
             for quad in &mut quads {
@@ -189,7 +191,8 @@ impl Mlp {
         self.layers.last().expect("at least one layer").rows
     }
 
-    /// Forward pass.
+    /// Forward pass. Layers ping-pong between two buffers sized to the
+    /// widest layer, through the same kernel as the batched forward.
     ///
     /// # Panics
     ///
@@ -197,9 +200,13 @@ impl Mlp {
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.input_width(), "input width mismatch");
-        let mut outputs = Vec::new();
-        self.forward(x, &mut outputs);
-        outputs.pop().expect("at least one layer")
+        let widest = self.layers.iter().map(|layer| layer.rows).max().unwrap_or(0);
+        let (mut input, mut output) = (Vec::with_capacity(widest), Vec::with_capacity(widest));
+        for i in 0..self.layers.len() {
+            self.run_layer(i, if i == 0 { x } else { &input }, &mut output);
+            std::mem::swap(&mut input, &mut output);
+        }
+        input
     }
 
     /// Forward pass over the flat row-major batch `xs`. Afterwards
@@ -209,15 +216,19 @@ impl Mlp {
     fn forward(&self, xs: &[f64], outputs: &mut Vec<Vec<f64>>) {
         assert_eq!(xs.len() % self.input_width(), 0, "input width mismatch");
         outputs.resize_with(self.layers.len(), Vec::new);
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
+        for i in 0..self.layers.len() {
             let (done, rest) = outputs.split_at_mut(i);
-            let input = done.last().map_or(xs, Vec::as_slice);
-            layer.forward(input, &mut rest[0]);
-            if i != last {
-                for v in &mut rest[0] {
-                    *v = self.activation.apply(*v);
-                }
+            self.run_layer(i, done.last().map_or(xs, Vec::as_slice), &mut rest[0]);
+        }
+    }
+
+    /// Runs layer `i` over the flat batch `input` into `out`, activated
+    /// unless it is the output layer.
+    fn run_layer(&self, i: usize, input: &[f64], out: &mut Vec<f64>) {
+        self.layers[i].forward(input, out);
+        if i + 1 < self.layers.len() {
+            for v in out.iter_mut() {
+                *v = self.activation.apply(*v);
             }
         }
     }

@@ -14,14 +14,25 @@
 //! chains ran before it, of the worker count, and of chain execution order.
 //! The same seed replays bit-identically at any `--threads` setting.
 //!
+//! **Score memo:** the energy is fixed for the length of one `anneal*`
+//! call, so each chain remembers `(state, score)` for every distinct state
+//! it has scored — its start and every proposal — and a repeated proposal
+//! reuses the score instead of calling the energy again. About a quarter of
+//! the tuners' proposals repeat a state their chain already scored. The
+//! memo is a linear scan, newest first, over at most `max_steps + 1`
+//! entries; it needs only `S: PartialEq`. It lives inside one chain, so a
+//! chain is still a pure function of `(seed, c, start)`, and accept
+//! decisions, RNG draws, `steps_executed` and `chain_bests` are bit-identical
+//! to scoring every proposal.
+//!
 //! **Allocation:** the chain loop proposes into a persistent scratch state
-//! and swaps it in on acceptance, so the `*_in_place` entry points run the
-//! whole trajectory with a constant number of state allocations (start,
-//! best, scratch) instead of one fresh state per step. The classic
-//! `Fn(&S, &mut StdRng) -> S` entry points are kept as thin wrappers whose
-//! results are bit-identical — the in-place move must fully overwrite the
-//! scratch state from the current one, which `*out = neighbor(current, rng)`
-//! trivially does.
+//! and swaps it in on acceptance, so the `*_in_place` entry points allocate
+//! the start, best and scratch states once, plus one clone per distinct
+//! scored state (the memo's copy), instead of one fresh state per step. The
+//! classic `Fn(&S, &mut StdRng) -> S` entry points are kept as thin
+//! wrappers whose results are bit-identical — the in-place move must fully
+//! overwrite the scratch state from the current one, which
+//! `*out = neighbor(current, rng)` trivially does.
 
 use crate::parallel::{parallel_map, parallel_map_cancellable, Threads};
 use crate::stats::child_rng;
@@ -101,14 +112,16 @@ impl<S: Clone> SaOutcome<S> {
 /// fewer starts than chains are given) and owns an RNG seed-split from
 /// `seed` by chain index, so the outcome is identical at every thread
 /// count. Acceptance follows Metropolis on the score difference with a
-/// geometric temperature schedule.
+/// geometric temperature schedule. The energy is called once per distinct
+/// state per chain (see the module docs), so it must be a pure function of
+/// the state.
 ///
 /// # Panics
 ///
 /// Panics if `initial` is empty or temperatures are non-positive.
 pub fn anneal<S, F, N>(initial: &[S], score: F, neighbor: N, params: SaParams, seed: u64) -> SaOutcome<S>
 where
-    S: Clone + Send + Sync,
+    S: Clone + PartialEq + Send + Sync,
     F: Fn(&S) -> f64 + Sync,
     N: Fn(&S, &mut StdRng) -> S + Sync,
 {
@@ -119,7 +132,7 @@ where
 /// resolves `--threads` / `GLIMPSE_THREADS` automatically).
 pub fn anneal_threaded<S, F, N>(initial: &[S], score: F, neighbor: N, params: SaParams, seed: u64, threads: Threads) -> SaOutcome<S>
 where
-    S: Clone + Send + Sync,
+    S: Clone + PartialEq + Send + Sync,
     F: Fn(&S) -> f64 + Sync,
     N: Fn(&S, &mut StdRng) -> S + Sync,
 {
@@ -133,7 +146,7 @@ where
 /// allocating entry points for the equivalent move.
 pub fn anneal_in_place<S, F, N>(initial: &[S], score: F, neighbor_into: N, params: SaParams, seed: u64) -> SaOutcome<S>
 where
-    S: Clone + Send + Sync,
+    S: Clone + PartialEq + Send + Sync,
     F: Fn(&S) -> f64 + Sync,
     N: Fn(&S, &mut S, &mut StdRng) + Sync,
 {
@@ -150,7 +163,7 @@ pub fn anneal_threaded_in_place<S, F, N>(
     threads: Threads,
 ) -> SaOutcome<S>
 where
-    S: Clone + Send + Sync,
+    S: Clone + PartialEq + Send + Sync,
     F: Fn(&S) -> f64 + Sync,
     N: Fn(&S, &mut S, &mut StdRng) + Sync,
 {
@@ -190,7 +203,7 @@ pub fn anneal_cancellable<S, F, N>(
     cancel: &CancelToken,
 ) -> Option<SaOutcome<S>>
 where
-    S: Clone + Send + Sync,
+    S: Clone + PartialEq + Send + Sync,
     F: Fn(&S) -> f64 + Sync,
     N: Fn(&S, &mut StdRng) -> S + Sync,
 {
@@ -208,7 +221,7 @@ pub fn anneal_cancellable_in_place<S, F, N>(
     cancel: &CancelToken,
 ) -> Option<SaOutcome<S>>
 where
-    S: Clone + Send + Sync,
+    S: Clone + PartialEq + Send + Sync,
     F: Fn(&S) -> f64 + Sync,
     N: Fn(&S, &mut S, &mut StdRng) + Sync,
 {
@@ -248,8 +261,9 @@ const CANCEL_POLL_STEPS: usize = 16;
 /// whole batch in that case, so the bail never leaks into results.
 ///
 /// Proposals are generated into a persistent `candidate` scratch state and
-/// swapped into `current` on acceptance, so the loop allocates no fresh
-/// state per step (the in-place move must fully overwrite the scratch).
+/// swapped into `current` on acceptance (the in-place move must fully
+/// overwrite the scratch). Each distinct state is scored once: `memo` holds
+/// a copy of every state scored so far with its score.
 fn run_chain<S, F, N>(
     start: &S,
     chain: usize,
@@ -260,7 +274,7 @@ fn run_chain<S, F, N>(
     cancel: Option<&CancelToken>,
 ) -> ((S, f64), usize)
 where
-    S: Clone,
+    S: Clone + PartialEq,
     F: Fn(&S) -> f64,
     N: Fn(&S, &mut S, &mut StdRng),
 {
@@ -273,6 +287,8 @@ where
     let mut rng = child_rng(seed, chain as u64);
     let mut current = start.clone();
     let mut current_score = score(&current);
+    let mut memo: Vec<(S, f64)> = Vec::with_capacity(params.max_steps + 1);
+    memo.push((current.clone(), current_score));
     let mut best = current.clone();
     let mut best_score = current_score;
     let mut candidate = current.clone();
@@ -285,7 +301,7 @@ where
         }
         steps += 1;
         neighbor_into(&current, &mut candidate, &mut rng);
-        let candidate_score = score(&candidate);
+        let candidate_score = memo_score(&mut memo, &candidate, score);
         let accept = candidate_score >= current_score || {
             let p = ((candidate_score - current_score) / t).exp();
             rng.gen::<f64>() < p
@@ -307,6 +323,18 @@ where
         t *= cooling;
     }
     ((best, best_score), steps)
+}
+
+/// The score of `state` from `memo` if the chain has scored it, or else
+/// `score(state)`, remembered. Newest first: a repeat is most often a move
+/// straight back, or a rejected proposal drawn again from the same state.
+fn memo_score<S: Clone + PartialEq>(memo: &mut Vec<(S, f64)>, state: &S, score: impl Fn(&S) -> f64) -> f64 {
+    if let Some(&(_, known)) = memo.iter().rev().find(|(seen, _)| seen == state) {
+        return known;
+    }
+    let fresh = score(state);
+    memo.push((state.clone(), fresh));
+    fresh
 }
 
 #[cfg(test)]
@@ -521,6 +549,136 @@ mod tests {
             };
             prop_assert!(bests_equal(&reference, &permuted), "permuted execution order diverged");
         }
+    }
+
+    /// The chain loop before the score memo: every proposal is scored. Kept
+    /// as the reference the memoized chain must match bit for bit.
+    fn run_chain_unmemoized<S, F, N>(
+        start: &S,
+        chain: usize,
+        score: &F,
+        neighbor_into: &N,
+        params: &SaParams,
+        seed: u64,
+    ) -> ((S, f64), usize)
+    where
+        S: Clone,
+        F: Fn(&S) -> f64,
+        N: Fn(&S, &mut S, &mut StdRng),
+    {
+        use rand::Rng;
+        let cooling = if params.max_steps > 1 {
+            (params.t_end / params.t_start).powf(1.0 / (params.max_steps - 1) as f64)
+        } else {
+            1.0
+        };
+        let mut rng = child_rng(seed, chain as u64);
+        let mut current = start.clone();
+        let mut current_score = score(&current);
+        let mut best = current.clone();
+        let mut best_score = current_score;
+        let mut candidate = current.clone();
+        let mut t = params.t_start;
+        let mut stale = 0usize;
+        let mut steps = 0usize;
+        for _ in 0..params.max_steps {
+            steps += 1;
+            neighbor_into(&current, &mut candidate, &mut rng);
+            let candidate_score = score(&candidate);
+            let accept = candidate_score >= current_score || {
+                let p = ((candidate_score - current_score) / t).exp();
+                rng.gen::<f64>() < p
+            };
+            if accept {
+                std::mem::swap(&mut current, &mut candidate);
+                current_score = candidate_score;
+            }
+            if current_score > best_score {
+                best.clone_from(&current);
+                best_score = current_score;
+                stale = 0;
+            } else {
+                stale += 1;
+                if params.patience > 0 && stale >= params.patience {
+                    break;
+                }
+            }
+            t *= cooling;
+        }
+        ((best, best_score), steps)
+    }
+
+    /// A state space of nine points where most proposals revisit a state
+    /// the chain has already scored.
+    fn tiny_score(x: &i64) -> f64 {
+        [0.3, -1.0, 0.9, 0.1, 2.0, -0.5, 1.1, 0.0, 1.7][*x as usize]
+    }
+
+    fn tiny_neighbor(x: &i64, rng: &mut StdRng) -> i64 {
+        use rand::Rng;
+        (x + rng.gen_range(-2i64..=2)).clamp(0, 8)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The memoized chains reproduce the memo-free loop exactly, at any
+        /// worker count, with and without patience.
+        #[test]
+        fn score_memo_is_bit_identical_to_scoring_every_proposal(
+            seed in 0u64..1_000_000,
+            chains in 1usize..10,
+            max_steps in 1usize..120,
+            patience in 0usize..12,
+        ) {
+            let starts: Vec<i64> = vec![0, 4, 8];
+            let params = SaParams { chains, max_steps, patience, ..SaParams::default() };
+            let neighbor_into = wrap_allocating(tiny_neighbor);
+            let mut reference = SaOutcome { chain_bests: Vec::new(), steps_executed: 0 };
+            for c in 0..chains {
+                let (best, steps) = run_chain_unmemoized(&starts[c % starts.len()], c, &tiny_score, &neighbor_into, &params, seed);
+                reference.chain_bests.push(best);
+                reference.steps_executed += steps;
+            }
+            for threads in [1usize, 2, 8] {
+                let out = anneal_threaded(&starts, tiny_score, tiny_neighbor, params, seed, Threads::fixed(threads));
+                prop_assert!(bests_equal(&reference, &out), "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn score_runs_once_per_distinct_state_per_chain() {
+        use std::collections::BTreeSet;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let starts: Vec<i64> = vec![0, 4, 8];
+        let params = SaParams {
+            chains: 6,
+            max_steps: 200,
+            ..SaParams::default()
+        };
+        // Each chain's distinct scored states, from the memo-free loop.
+        let neighbor_into = wrap_allocating(tiny_neighbor);
+        let mut distinct = 0;
+        let mut proposals = 0;
+        for c in 0..params.chains {
+            let seen = std::cell::RefCell::new(BTreeSet::new());
+            let recording = |x: &i64| {
+                seen.borrow_mut().insert(*x);
+                tiny_score(x)
+            };
+            let (_, steps) = run_chain_unmemoized(&starts[c % starts.len()], c, &recording, &neighbor_into, &params, 17);
+            distinct += seen.borrow().len();
+            proposals += steps + 1;
+        }
+        let calls = AtomicUsize::new(0);
+        let counted = |x: &i64| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            tiny_score(x)
+        };
+        anneal_threaded(&starts, counted, tiny_neighbor, params, 17, Threads::fixed(2));
+        assert_eq!(calls.load(Ordering::Relaxed), distinct);
+        assert!(distinct * 10 < proposals, "the fixture must revisit states");
     }
 
     #[test]

@@ -169,7 +169,8 @@ fn bench_components(c: &mut Criterion) {
 
     c.bench_function("sa_batch_16x50", |b| {
         use glimpse_mlkit::parallel::Threads;
-        use glimpse_mlkit::sa::{anneal_threaded, SaParams};
+        use glimpse_mlkit::sa::{anneal, SaParams};
+        use glimpse_supervise::CancelToken;
         let mut surrogate = GbtCostModel::new(0);
         let mut measurer = Measurer::new(gpu.clone(), 13);
         let mut history = TuningHistory::new(&gpu.name, "bench", 0, space.template());
@@ -188,13 +189,14 @@ fn bench_components(c: &mut Criterion) {
             patience: 0,
         };
         b.iter(|| {
-            std::hint::black_box(anneal_threaded(
+            std::hint::black_box(anneal(
                 &starts,
                 |c| surrogate.predict(&space, c),
-                |c, r| space.neighbor(c, r),
+                |c, out, r| space.neighbor_into(c, out, r),
                 params,
                 7,
                 Threads::fixed(1),
+                &CancelToken::new(),
             ))
         })
     });

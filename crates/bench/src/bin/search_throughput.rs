@@ -25,9 +25,10 @@ use glimpse_gpu_spec::database;
 use glimpse_mlkit::gbt::{prefix_sum_best_split, two_pass_best_split, Gbt, GbtParams};
 use glimpse_mlkit::gp::{GaussianProcess, RbfKernel};
 use glimpse_mlkit::parallel::{available_workers, set_default_threads, Threads};
-use glimpse_mlkit::sa::{anneal_threaded, SaParams};
+use glimpse_mlkit::sa::{anneal, SaParams};
 use glimpse_sim::Measurer;
 use glimpse_space::templates;
+use glimpse_supervise::CancelToken;
 use glimpse_tensor_prog::models;
 use glimpse_tuners::autotvm::AutoTvmTuner;
 use glimpse_tuners::cost_model::{FitKind, GbtCostModel};
@@ -92,14 +93,16 @@ fn main() {
         patience: 0,
     };
     let run_sa = |threads: Threads| {
-        anneal_threaded(
+        anneal(
             &starts,
             |c| surrogate.predict(&space, c),
-            |c, r| space.neighbor(c, r),
+            |c, out, r| space.neighbor_into(c, out, r),
             params,
             77,
             threads,
+            &CancelToken::new(),
         )
+        .expect("an untripped token never cancels")
     };
     let (sa_s1, sa_out1) = time_best_of(reps, || run_sa(single));
     let (sa_sn, sa_outn) = time_best_of(reps, || run_sa(multi));

@@ -358,22 +358,6 @@ impl Supervisor {
     }
 }
 
-/// Settles a cell that ran without a journal into the same typed
-/// [`SupervisedOutcome`] the checkpointed path reports.
-fn settle_unjournaled(control: &RunControl, outcome: TuningOutcome, device_dead: bool) -> SupervisedOutcome {
-    let deadline_slack_s = [control.deadline_s, control.wall_deadline_s]
-        .into_iter()
-        .flatten()
-        .reduce(f64::min)
-        .map(|tightest| tightest - outcome.gpu_seconds);
-    let component_fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
-    SupervisedOutcome {
-        status: CellStatus::settle_with_health(control.cancel.reason(), device_dead, component_fallback),
-        deadline_slack_s,
-        outcome,
-    }
-}
-
 /// One degradation-report row for a finished cell.
 fn cell_report(cell: String, device: &str, supervised: &SupervisedOutcome, quarantines: u64) -> CellReport {
     CellReport {
@@ -624,7 +608,7 @@ pub fn tune(args: &[String]) -> Result<(), String> {
         } else {
             let ctx = TuneContext::new(task, &space, &mut measurer, budget, 7).with_control(control.clone());
             let outcome = run_tuner(&options.tuner, artifacts.as_ref(), gpu, ctx)?;
-            settle_unjournaled(&control, outcome, measurer.is_device_dead())
+            SupervisedOutcome::settle(outcome, &control, measurer.is_device_dead())
         };
         total_s += supervised.outcome.gpu_seconds;
         println!(
@@ -921,7 +905,7 @@ fn run_experiment_cell(
     } else {
         let ctx = TuneContext::new(task, space, measurer, budget, seed).with_control(control.clone());
         let outcome = run_tuner(&options.tuner, None, gpu, ctx)?;
-        Ok(settle_unjournaled(&control, outcome, measurer.is_device_dead()))
+        Ok(SupervisedOutcome::settle(outcome, &control, measurer.is_device_dead()))
     }
 }
 
@@ -980,7 +964,7 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
     // Pass 2: cells orphaned by a dead device move to the first healthy
     // survivor. The reassigned cell keeps its original seed (it is the
     // same work item) and journals under `<cell>__on_<survivor>` so the
-    // dead device's journal stays intact for a post-mortem or revival.
+    // dead device's journal stays intact for a post-mortem.
     let mut moved: Vec<Option<usize>> = vec![None; fleet.len()];
     let mut reassignments: Vec<(usize, usize, Result<SupervisedOutcome, String>)> = Vec::new();
     for index in 0..fleet.len() {

@@ -97,3 +97,21 @@ fn tune_single_task_with_random_tuner() {
     assert!(text.contains("L2"));
     assert!(text.contains("total simulated GPU time"));
 }
+
+#[test]
+fn unjournaled_tune_past_its_deadline_reports_deadline_exceeded() {
+    // No --checkpoint-dir: the cell settles without a journal, through the
+    // same rule the checkpointed path uses.
+    let report = std::env::temp_dir().join(format!("glimpse-cli-deadline-{}.json", std::process::id()));
+    let out = glimpse()
+        .args(["tune", "alexnet", "GTX 1080", "--tuner", "random", "--task", "2", "--budget", "24"])
+        .args(["--deadline-s", "0", "--report"])
+        .arg(&report)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let json = std::fs::read_to_string(&report).expect("the report is written");
+    let _ = std::fs::remove_file(&report);
+    assert!(json.contains("DeadlineExceeded"), "report: {json}");
+    assert!(json.contains("\"deadline_slack_s\": 0.0"), "report: {json}");
+}

@@ -186,17 +186,6 @@ impl BlueprintCodec {
         let z = self.pca.inverse_transform(&blueprint.values);
         self.normalizer.denormalize(&z)
     }
-
-    /// Reconstruction RMSE over a GPU set, in z-scored units (the Fig. 8
-    /// information-loss axis).
-    #[must_use]
-    pub fn information_loss(&self, gpus: &[&GpuSpec]) -> f64 {
-        let rows: Vec<Vec<f64>> = gpus
-            .iter()
-            .map(|g| self.normalizer.normalize(&FeatureVector::from_spec(g)))
-            .collect();
-        self.pca.reconstruction_rmse(&rows)
-    }
 }
 
 #[cfg(test)]

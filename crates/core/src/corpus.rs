@@ -1,5 +1,5 @@
 //! Offline training corpus — the reproduction's TenSet (§3.1: "we gathered
-//! a large scale dataset similar to [19] of s and f").
+//! a large scale dataset similar to \[19\] of s and f").
 //!
 //! For every (training GPU, task) pair, the corpus holds uniformly sampled
 //! configurations scored by the noise-free performance oracle (invalid

@@ -3,7 +3,7 @@
 //!
 //! Glimpse gives an auto-tuner *perception* of the target hardware through a
 //! compact mathematical embedding of its public data sheet, the
-//! [`Blueprint`](blueprint::Blueprint). The embedding feeds three components
+//! [`Blueprint`]. The embedding feeds three components
 //! wrapped around a Bayesian-optimization tuning loop (Algorithm 1):
 //!
 //! 1. **Prior distribution generation** (§3.1, [`prior`]) — a hypernetwork

@@ -20,7 +20,8 @@ use crate::blueprint::Blueprint;
 use crate::health::ResolvedArtifacts;
 use crate::sampler::{EnsembleSampler, DEFAULT_MEMBERS, DEFAULT_TAU};
 use glimpse_gpu_spec::GpuSpec;
-use glimpse_mlkit::sa::{anneal_cancellable_in_place, SaParams};
+use glimpse_mlkit::parallel::Threads;
+use glimpse_mlkit::sa::{anneal, SaParams};
 use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use glimpse_supervise::health::{Component, HealthCause, HealthReport};
@@ -288,7 +289,7 @@ impl Tuner for GlimpseTuner<'_> {
             // split the seed per chain, so results are identical at any
             // thread count.
             let sa_seed: u64 = rng.gen();
-            let Some(outcome) = anneal_cancellable_in_place(
+            let Some(outcome) = anneal(
                 &starts,
                 energy,
                 |c: &Config, out: &mut Config, r: &mut _| space.neighbor_into(c, out, r),
@@ -300,6 +301,7 @@ impl Tuner for GlimpseTuner<'_> {
                     patience: self.config.sa_patience,
                 },
                 sa_seed,
+                Threads::AUTO,
                 &cancel,
             ) else {
                 break;

@@ -8,7 +8,7 @@
 //! "various hardware and networks").
 //!
 //! Numbers are transcribed from the public data sheets / the "List of Nvidia
-//! graphics processing units" the paper cites as [12].
+//! graphics processing units" the paper cites as \[12\].
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 

@@ -77,12 +77,6 @@ impl GpuSpec {
         self.fp32_gflops / self.mem_bandwidth_gb_s
     }
 
-    /// Maximum resident warps per SM.
-    #[must_use]
-    pub fn max_warps_per_sm(&self) -> u32 {
-        self.max_threads_per_sm / self.warp_size
-    }
-
     /// Shared memory per SM in bytes.
     #[must_use]
     pub fn shared_mem_per_sm_bytes(&self) -> u64 {

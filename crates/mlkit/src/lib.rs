@@ -15,9 +15,9 @@
 //!   surrogate cost model.
 //! * [`kmeans`] — clustering for Chameleon's adaptive sampling.
 //! * [`sa`] — batched parallel simulated-annealing chains, the Markov-chain
-//!   search engine of AutoTVM/Chameleon (§4.2); each chain scores a state
-//!   once.
-//! * [`parallel`] — deterministic fan-out over scoped worker threads that
+//!   search engine of AutoTVM/Chameleon (§4.2), behind one cancellable
+//!   entry point, [`sa::anneal`]; each chain scores a state once.
+//! * [`parallel`] — one deterministic map over scoped worker threads that
 //!   claim small blocks of items from a shared counter; the
 //!   work-distribution layer under [`sa`], [`gbt`], and [`gp`]'s hot paths
 //!   and the offline meta-training (`--threads` / `GLIMPSE_THREADS`

@@ -50,17 +50,6 @@ impl Matrix {
         }
     }
 
-    /// Builds from a flat row-major buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    #[must_use]
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "buffer does not match shape");
-        Self { rows, cols, data }
-    }
-
     /// Checks that the buffer holds exactly `rows × cols` values (a decoded
     /// matrix's fields arrive independently).
     pub(crate) fn check_shape(&self) -> Result<(), String> {

@@ -115,10 +115,15 @@ impl Default for Threads {
 /// Maps `f(index, &item)` over `items` on up to `threads` scoped workers,
 /// returning results in input order.
 ///
-/// Workers claim small blocks of consecutive items from a shared counter,
-/// so items of uneven cost keep every worker busy; with one worker (or
-/// ≤ 1 item) the loop runs inline on the caller thread. A panic in any
-/// worker is resumed on the caller thread.
+/// The items are cut into blocks of consecutive indices, about
+/// `BLOCKS_PER_WORKER` per worker (so each of a handful of items is a
+/// block of its own). Each worker claims the next block from one counter,
+/// so items of uneven cost keep every worker busy, and the blocks are put
+/// back in input order after the join. A block rather than a single item
+/// is the unit of claim because a claim costs a contended atomic, more
+/// than a sub-microsecond item such as one featurization. With one worker
+/// (or ≤ 1 item) the loop runs inline on the caller thread as one block. A
+/// panic in any worker is resumed on the caller thread.
 ///
 /// # Examples
 ///
@@ -142,72 +147,11 @@ impl Default for Threads {
 /// let mut rng = StdRng::seed_from_u64(7);
 /// let noisy = parallel_map(Threads::fixed(2), &[1.0f64, 2.0], |_, x| x + rng.gen::<f64>());
 /// ```
-// With a `go` that never turns false, every block is claimed and mapped, so
-// none is missing.
 pub fn parallel_map<T, R, F>(threads: Threads, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
-{
-    fan_out(threads, items, f, || true).expect("every item was mapped")
-}
-
-/// Cancellable variant of [`parallel_map`]: `None` if `cancel` trips
-/// before the map completes, `Some(results)` otherwise — never a partial
-/// result set.
-///
-/// Workers poll the token before mapping each item and stop once it
-/// trips; the whole batch is then discarded. All-or-nothing is what keeps
-/// the determinism contract intact under cancellation: a consumer either
-/// sees the exact `Vec` the uninterrupted run would produce, or nothing —
-/// so a cancelled search replays as a clean prefix of the uninterrupted
-/// one.
-///
-/// # Examples
-///
-/// ```
-/// use glimpse_mlkit::parallel::{parallel_map_cancellable, Threads};
-/// use glimpse_supervise::{CancelReason, CancelToken};
-///
-/// let token = CancelToken::new();
-/// let done = parallel_map_cancellable(Threads::fixed(2), &token, &[1i64, 2, 3], |_, x| x * x);
-/// assert_eq!(done, Some(vec![1, 4, 9]));
-///
-/// token.cancel(CancelReason::Interrupted);
-/// let cut = parallel_map_cancellable(Threads::fixed(2), &token, &[1i64, 2, 3], |_, x| x * x);
-/// assert_eq!(cut, None);
-/// ```
-pub fn parallel_map_cancellable<T, R, F>(threads: Threads, cancel: &glimpse_supervise::CancelToken, items: &[T], f: F) -> Option<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let out = fan_out(threads, items, f, || !cancel.is_cancelled());
-    // Cancellation is monotonic: a token that tripped during the last item
-    // discards the batch even though every block was mapped.
-    out.filter(|_| !cancel.is_cancelled())
-}
-
-/// Blocks each worker's share of a map is cut into (see [`fan_out`]).
-const BLOCKS_PER_WORKER: usize = 8;
-
-/// The worker loop under both maps. The items are cut into blocks of
-/// consecutive indices, about [`BLOCKS_PER_WORKER`] per worker (so each of
-/// a handful of items is a block of its own). Each worker claims the next
-/// block from one counter while `go()` holds, and the blocks are put back
-/// in input order after the join. A block rather than a single item is
-/// the unit of claim because a claim costs a contended atomic, more than a
-/// sub-microsecond item such as one featurization. With one worker the
-/// loop runs inline and claims everything as one block. `None` if `go`
-/// stopped the loop before every item was mapped.
-fn fan_out<T, R, F, G>(threads: Threads, items: &[T], f: F, go: G) -> Option<Vec<R>>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    G: Fn() -> bool + Sync,
 {
     let n = items.len();
     let workers = threads.resolve().min(n).max(1);
@@ -220,14 +164,7 @@ where
             // nothing; results reach the caller through the scope's join.
             let b = next.fetch_add(1, Ordering::Relaxed);
             let Some(block_items) = items.chunks(block).nth(b) else { break };
-            let mut results = Vec::with_capacity(block_items.len());
-            for (i, item) in (b * block..).zip(block_items) {
-                if !go() {
-                    return done;
-                }
-                results.push(f(i, item));
-            }
-            done.push((b, results));
+            done.push((b, (b * block..).zip(block_items).map(|(i, item)| f(i, item)).collect::<Vec<R>>()));
         }
         done
     };
@@ -245,16 +182,20 @@ where
             std::panic::resume_unwind(payload);
         }
     }
-    let mut blocks: Vec<Option<Vec<R>>> = (0..n.div_ceil(block)).map(|_| None).collect();
-    for (b, results) in parts.into_iter().flatten() {
-        blocks[b] = Some(results);
+    let mut blocks: Vec<(usize, Vec<R>)> = parts.into_iter().flatten().collect();
+    if blocks.len() == 1 {
+        return blocks.swap_remove(0).1;
     }
-    match blocks.len() {
-        0 => Some(Vec::new()),
-        1 => blocks.pop().flatten(),
-        _ => Some(blocks.into_iter().collect::<Option<Vec<_>>>()?.into_iter().flatten().collect()),
+    blocks.sort_unstable_by_key(|&(b, _)| b);
+    let mut out = Vec::with_capacity(n);
+    for (_, results) in blocks {
+        out.extend(results);
     }
+    out
 }
+
+/// Blocks each worker's share of a map is cut into (see [`parallel_map`]).
+const BLOCKS_PER_WORKER: usize = 8;
 
 /// Index-only variant of [`parallel_map`]: maps `f(i)` over `0..n`.
 pub fn parallel_map_range<R, F>(threads: Threads, n: usize, f: F) -> Vec<R>
@@ -355,46 +296,6 @@ mod tests {
                 })
             });
             assert!(caught.is_err(), "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn cancellable_map_matches_plain_map_when_untripped() {
-        use glimpse_supervise::CancelToken;
-        let items: Vec<u64> = (0..257).collect();
-        let f = |i: usize, x: &u64| {
-            use rand::Rng;
-            let mut rng = crate::stats::child_rng(*x, i as u64);
-            rng.gen::<u64>()
-        };
-        let plain = parallel_map(Threads::fixed(4), &items, f);
-        let token = CancelToken::new();
-        for workers in [1usize, 8] {
-            assert_eq!(
-                parallel_map_cancellable(Threads::fixed(workers), &token, &items, f),
-                Some(plain.clone()),
-                "workers={workers}"
-            );
-        }
-    }
-
-    #[test]
-    fn tripped_token_yields_none_not_partial_results() {
-        use glimpse_supervise::{CancelReason, CancelToken};
-        let pre = CancelToken::new();
-        pre.cancel(CancelReason::DeadlineExceeded);
-        let items: Vec<usize> = (0..64).collect();
-        assert_eq!(parallel_map_cancellable(Threads::fixed(4), &pre, &items, |_, &x| x), None);
-        // Trip mid-flight from inside the map: still all-or-nothing.
-        for workers in [1usize, 8] {
-            let mid = CancelToken::new();
-            let out = parallel_map_cancellable(Threads::fixed(workers), &mid, &items, |i, &x| {
-                if i == 9 {
-                    mid.cancel(CancelReason::Interrupted);
-                }
-                x
-            });
-            assert_eq!(out, None, "workers={workers}");
         }
     }
 

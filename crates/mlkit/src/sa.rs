@@ -3,10 +3,10 @@
 //! AutoTVM and Chameleon "formulate a cost minimization with a batch of
 //! Markov chains" (§4.2) driven by a surrogate cost model; the number of
 //! chain update steps is the key compile-time factor Fig. 6 counts. This
-//! module runs that batch generically — callers provide the energy (higher =
-//! better here, matching GFLOPS) and the neighbor move — and actually in
-//! parallel: chains fan out across worker threads through
-//! [`crate::parallel`].
+//! module runs that batch generically through one entry point, [`anneal`]
+//! — callers provide the energy (higher = better here, matching GFLOPS)
+//! and the neighbor move — and actually in parallel: chains fan out across
+//! worker threads through [`crate::parallel`].
 //!
 //! **Determinism:** chain `c` draws from its own RNG, seed-split from the
 //! master seed as `child_rng(seed, c)`. A chain's trajectory is therefore a
@@ -14,7 +14,14 @@
 //! chains ran before it, of the worker count, and of chain execution order.
 //! The same seed replays bit-identically at any `--threads` setting.
 //!
-//! **Score memo:** the energy is fixed for the length of one `anneal*`
+//! **Cancellation:** the batch is the cancellation unit. Chains poll the
+//! token before scoring their start and every `CANCEL_POLL_STEPS` steps
+//! after, and bail once it trips; a batch during which the token tripped
+//! is discarded whole, never partially consumed. The tuners drain at their
+//! own trial boundary, so a cancelled run's journal stays a byte-identical
+//! prefix of the uninterrupted run's.
+//!
+//! **Score memo:** the energy is fixed for the length of one [`anneal`]
 //! call, so each chain remembers `(state, score)` for every distinct state
 //! it has scored — its start and every proposal — and a repeated proposal
 //! reuses the score instead of calling the energy again. About a quarter of
@@ -25,16 +32,12 @@
 //! decisions, RNG draws, `steps_executed` and `chain_bests` are bit-identical
 //! to scoring every proposal.
 //!
-//! **Allocation:** the chain loop proposes into a persistent scratch state
-//! and swaps it in on acceptance, so the `*_in_place` entry points allocate
-//! the start, best and scratch states once, plus one clone per distinct
-//! scored state (the memo's copy), instead of one fresh state per step. The
-//! classic `Fn(&S, &mut StdRng) -> S` entry points are kept as thin
-//! wrappers whose results are bit-identical — the in-place move must fully
-//! overwrite the scratch state from the current one, which
-//! `*out = neighbor(current, rng)` trivially does.
+//! **Allocation:** the move writes its proposal into a persistent scratch
+//! state, which is swapped in on acceptance, so a chain allocates the
+//! start, best and scratch states once, plus one clone per distinct scored
+//! state (the memo's copy), instead of one fresh state per step.
 
-use crate::parallel::{parallel_map, parallel_map_cancellable, Threads};
+use crate::parallel::{parallel_map_range, Threads};
 use crate::stats::child_rng;
 use glimpse_supervise::CancelToken;
 use rand::rngs::StdRng;
@@ -90,20 +93,26 @@ impl<S: Clone> SaOutcome<S> {
 }
 
 /// Runs `params.chains` annealing chains maximizing `score`, fanned out
-/// across the worker threads of [`crate::parallel`].
+/// across up to `threads` workers of [`crate::parallel`]; `None` if
+/// `cancel` tripped at any time during the batch.
 ///
 /// # Examples
 ///
 /// ```
+/// use glimpse_mlkit::parallel::Threads;
 /// use glimpse_mlkit::sa::{anneal, SaParams};
+/// use glimpse_supervise::CancelToken;
 ///
 /// let out = anneal(
 ///     &[0i64],
 ///     |x| -((*x - 5) as f64).abs(),
-///     |x, r| x + if rand::Rng::gen::<bool>(r) { 1 } else { -1 },
+///     |x, out, r| *out = x + if rand::Rng::gen::<bool>(r) { 1 } else { -1 },
 ///     SaParams { chains: 4, max_steps: 200, ..SaParams::default() },
 ///     7,
-/// );
+///     Threads::AUTO,
+///     &CancelToken::new(),
+/// )
+/// .expect("an untripped token never cancels");
 /// let (best, _) = &out.top_k(1)[0];
 /// assert!((best - 5).abs() <= 1);
 /// ```
@@ -111,7 +120,9 @@ impl<S: Clone> SaOutcome<S> {
 /// Each chain starts from the corresponding entry of `initial` (recycled if
 /// fewer starts than chains are given) and owns an RNG seed-split from
 /// `seed` by chain index, so the outcome is identical at every thread
-/// count. Acceptance follows Metropolis on the score difference with a
+/// count. `neighbor_into(current, out, rng)` must fully overwrite `out`
+/// with the proposed state (whatever a previous proposal left there is
+/// stale). Acceptance follows Metropolis on the score difference with a
 /// geometric temperature schedule. The energy is called once per distinct
 /// state per chain (see the module docs), so it must be a pure function of
 /// the state.
@@ -119,105 +130,13 @@ impl<S: Clone> SaOutcome<S> {
 /// # Panics
 ///
 /// Panics if `initial` is empty or temperatures are non-positive.
-pub fn anneal<S, F, N>(initial: &[S], score: F, neighbor: N, params: SaParams, seed: u64) -> SaOutcome<S>
-where
-    S: Clone + PartialEq + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut StdRng) -> S + Sync,
-{
-    anneal_threaded(initial, score, neighbor, params, seed, Threads::AUTO)
-}
-
-/// [`anneal`] with an explicit worker-count request (the public entry point
-/// resolves `--threads` / `GLIMPSE_THREADS` automatically).
-pub fn anneal_threaded<S, F, N>(initial: &[S], score: F, neighbor: N, params: SaParams, seed: u64, threads: Threads) -> SaOutcome<S>
-where
-    S: Clone + PartialEq + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut StdRng) -> S + Sync,
-{
-    anneal_threaded_in_place(initial, score, wrap_allocating(neighbor), params, seed, threads)
-}
-
-/// [`anneal`] with an in-place neighbor move: `neighbor_into(current, out,
-/// rng)` must fully overwrite `out` with the proposed state (any bytes left
-/// over from a previous proposal are stale). Runs each chain with a
-/// constant number of state allocations; results are bit-identical to the
-/// allocating entry points for the equivalent move.
-pub fn anneal_in_place<S, F, N>(initial: &[S], score: F, neighbor_into: N, params: SaParams, seed: u64) -> SaOutcome<S>
-where
-    S: Clone + PartialEq + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut S, &mut StdRng) + Sync,
-{
-    anneal_threaded_in_place(initial, score, neighbor_into, params, seed, Threads::AUTO)
-}
-
-/// [`anneal_in_place`] with an explicit worker-count request.
-pub fn anneal_threaded_in_place<S, F, N>(
+pub fn anneal<S, F, N>(
     initial: &[S],
     score: F,
     neighbor_into: N,
     params: SaParams,
     seed: u64,
     threads: Threads,
-) -> SaOutcome<S>
-where
-    S: Clone + PartialEq + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut S, &mut StdRng) + Sync,
-{
-    assert!(!initial.is_empty(), "need at least one starting state");
-    assert!(params.t_start > 0.0 && params.t_end > 0.0, "temperatures must be positive");
-    let chains = params.chains.max(1);
-    let results = parallel_map(threads, &chain_indices(chains), |_, &c| {
-        run_chain(&initial[c % initial.len()], c, &score, &neighbor_into, &params, seed, None)
-    });
-    collect_outcome(results, chains)
-}
-
-/// Adapts a classic allocating move to the in-place interface.
-fn wrap_allocating<S, N>(neighbor: N) -> impl Fn(&S, &mut S, &mut StdRng)
-where
-    N: Fn(&S, &mut StdRng) -> S,
-{
-    move |current: &S, out: &mut S, rng: &mut StdRng| *out = neighbor(current, rng)
-}
-
-/// Cancellable [`anneal`]: `None` if `cancel` trips before the batch
-/// completes, `Some(outcome)` otherwise — the outcome is then bit-identical
-/// to the uninterrupted [`anneal`] call.
-///
-/// The SA round is the cancellation unit: chains poll the token between
-/// update steps and bail early once it trips, but a cut-short batch is
-/// discarded whole, never partially consumed. Callers treat `None` as "stop
-/// searching now" — the enclosing tuning loop drains at its own trial
-/// boundary, so a cancelled run's journal stays a byte-identical prefix of
-/// the uninterrupted run's.
-pub fn anneal_cancellable<S, F, N>(
-    initial: &[S],
-    score: F,
-    neighbor: N,
-    params: SaParams,
-    seed: u64,
-    cancel: &CancelToken,
-) -> Option<SaOutcome<S>>
-where
-    S: Clone + PartialEq + Send + Sync,
-    F: Fn(&S) -> f64 + Sync,
-    N: Fn(&S, &mut StdRng) -> S + Sync,
-{
-    anneal_cancellable_in_place(initial, score, wrap_allocating(neighbor), params, seed, cancel)
-}
-
-/// Cancellable [`anneal_in_place`]: the hot-loop entry point for the tuners
-/// — in-place moves and per-round cancellation in one call.
-pub fn anneal_cancellable_in_place<S, F, N>(
-    initial: &[S],
-    score: F,
-    neighbor_into: N,
-    params: SaParams,
-    seed: u64,
     cancel: &CancelToken,
 ) -> Option<SaOutcome<S>>
 where
@@ -228,27 +147,20 @@ where
     assert!(!initial.is_empty(), "need at least one starting state");
     assert!(params.t_start > 0.0 && params.t_end > 0.0, "temperatures must be positive");
     let chains = params.chains.max(1);
-    let results = parallel_map_cancellable(Threads::AUTO, cancel, &chain_indices(chains), |_, &c| {
-        run_chain(&initial[c % initial.len()], c, &score, &neighbor_into, &params, seed, Some(cancel))
-    })?;
-    Some(collect_outcome(results, chains))
-}
-
-fn collect_outcome<S>(results: Vec<((S, f64), usize)>, chains: usize) -> SaOutcome<S> {
-    let mut chain_bests = Vec::with_capacity(chains);
-    let mut steps_executed = 0usize;
-    for (best, steps) in results {
-        chain_bests.push(best);
-        steps_executed += steps;
-    }
-    SaOutcome {
+    let results: Option<Vec<_>> = parallel_map_range(threads, chains, |c| {
+        run_chain(&initial[c % initial.len()], c, &score, &neighbor_into, &params, seed, cancel)
+    })
+    .into_iter()
+    .collect();
+    // Cancellation is monotonic: a chain cut short by the token, or one
+    // that ran to its end after the token tripped, discards the batch too.
+    let results = results.filter(|_| !cancel.is_cancelled())?;
+    let steps_executed = results.iter().map(|(_, steps)| steps).sum();
+    let chain_bests = results.into_iter().map(|(best, _)| best).collect();
+    Some(SaOutcome {
         chain_bests,
         steps_executed,
-    }
-}
-
-fn chain_indices(chains: usize) -> Vec<usize> {
-    (0..chains).collect()
+    })
 }
 
 /// How many chain-update steps run between cancellation polls: cheap
@@ -256,9 +168,10 @@ fn chain_indices(chains: usize) -> Vec<usize> {
 /// the step profile.
 const CANCEL_POLL_STEPS: usize = 16;
 
-/// One chain's trajectory: a pure function of `(start, chain index, seed)`.
-/// A tripped `cancel` only cuts the chain short — the caller discards the
-/// whole batch in that case, so the bail never leaks into results.
+/// One chain's trajectory: a pure function of `(start, chain index, seed)`,
+/// or `None` if `cancel` tripped before the chain started. A trip seen
+/// later only cuts the chain short — the caller discards the whole batch
+/// in that case, so the bail never leaks into results.
 ///
 /// Proposals are generated into a persistent `candidate` scratch state and
 /// swapped into `current` on acceptance (the in-place move must fully
@@ -271,14 +184,17 @@ fn run_chain<S, F, N>(
     neighbor_into: &N,
     params: &SaParams,
     seed: u64,
-    cancel: Option<&CancelToken>,
-) -> ((S, f64), usize)
+    cancel: &CancelToken,
+) -> Option<((S, f64), usize)>
 where
     S: Clone + PartialEq,
     F: Fn(&S) -> f64,
     N: Fn(&S, &mut S, &mut StdRng),
 {
     use rand::Rng;
+    if cancel.is_cancelled() {
+        return None;
+    }
     let cooling = if params.max_steps > 1 {
         (params.t_end / params.t_start).powf(1.0 / (params.max_steps - 1) as f64)
     } else {
@@ -296,7 +212,7 @@ where
     let mut stale = 0usize;
     let mut steps = 0usize;
     for step in 0..params.max_steps {
-        if step % CANCEL_POLL_STEPS == 0 && cancel.is_some_and(CancelToken::is_cancelled) {
+        if step % CANCEL_POLL_STEPS == 0 && cancel.is_cancelled() {
             break;
         }
         steps += 1;
@@ -322,7 +238,7 @@ where
         }
         t *= cooling;
     }
-    ((best, best_score), steps)
+    Some(((best, best_score), steps))
 }
 
 /// The score of `state` from `memo` if the chain has scored it, or else
@@ -340,7 +256,9 @@ fn memo_score<S: Clone + PartialEq>(memo: &mut Vec<(S, f64)>, state: &S, score: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use glimpse_supervise::CancelReason;
     use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// 1-D multi-modal score with global max at x = 37 on 0..=100.
     fn score(x: &i64) -> f64 {
@@ -348,43 +266,42 @@ mod tests {
         -((xf - 37.0) / 10.0).powi(2) + 0.5 * (xf / 7.0).sin()
     }
 
-    fn neighbor(x: &i64, rng: &mut StdRng) -> i64 {
+    fn neighbor(x: &i64, out: &mut i64, rng: &mut StdRng) {
         use rand::Rng;
-        (x + rng.gen_range(-5i64..=5)).clamp(0, 100)
+        *out = (x + rng.gen_range(-5i64..=5)).clamp(0, 100);
+    }
+
+    /// [`anneal`] under a token nothing trips.
+    fn run<F, N>(starts: &[i64], score: F, neighbor: N, params: SaParams, seed: u64, threads: Threads) -> SaOutcome<i64>
+    where
+        F: Fn(&i64) -> f64 + Sync,
+        N: Fn(&i64, &mut i64, &mut StdRng) + Sync,
+    {
+        anneal(starts, score, neighbor, params, seed, threads, &CancelToken::new()).expect("an untripped token never cancels")
     }
 
     #[test]
     fn finds_global_optimum_region() {
         let starts: Vec<i64> = (0..8).map(|i| i * 12).collect();
-        let out = anneal(
-            &starts,
-            score,
-            neighbor,
-            SaParams {
-                chains: 8,
-                max_steps: 300,
-                ..SaParams::default()
-            },
-            1,
-        );
+        let params = SaParams {
+            chains: 8,
+            max_steps: 300,
+            ..SaParams::default()
+        };
+        let out = run(&starts, score, neighbor, params, 1, Threads::AUTO);
         let (best, _) = &out.top_k(1)[0];
         assert!((best - 37).abs() <= 3, "best {best}");
     }
 
     #[test]
     fn step_count_is_bounded_by_budget() {
-        let out = anneal(
-            &[50i64],
-            score,
-            neighbor,
-            SaParams {
-                chains: 4,
-                max_steps: 100,
-                patience: 0,
-                ..SaParams::default()
-            },
-            2,
-        );
+        let params = SaParams {
+            chains: 4,
+            max_steps: 100,
+            patience: 0,
+            ..SaParams::default()
+        };
+        let out = run(&[50i64], score, neighbor, params, 2, Threads::AUTO);
         assert_eq!(out.steps_executed, 400);
     }
 
@@ -396,26 +313,20 @@ mod tests {
             patience: 0,
             ..SaParams::default()
         };
-        let full = anneal(&[37i64], score, neighbor, params, 3);
-        let early = anneal(&[37i64], score, neighbor, SaParams { patience: 25, ..params }, 3);
+        let full = run(&[37i64], score, neighbor, params, 3, Threads::AUTO);
+        let early = run(&[37i64], score, neighbor, SaParams { patience: 25, ..params }, 3, Threads::AUTO);
         assert!(early.steps_executed < full.steps_executed);
     }
 
     #[test]
     fn top_k_is_sorted_descending() {
         let starts: Vec<i64> = (0..16).map(|i| i * 6).collect();
-        let out = anneal(
-            &starts,
-            score,
-            neighbor,
-            SaParams {
-                chains: 16,
-                max_steps: 50,
-                ..SaParams::default()
-            },
-            4,
-        );
-        let top = out.top_k(5);
+        let params = SaParams {
+            chains: 16,
+            max_steps: 50,
+            ..SaParams::default()
+        };
+        let top = run(&starts, score, neighbor, params, 4, Threads::AUTO).top_k(5);
         for w in top.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
@@ -423,38 +334,24 @@ mod tests {
 
     #[test]
     fn deterministic_for_fixed_seed() {
-        let run = || {
-            anneal(
-                &[0i64],
-                score,
-                neighbor,
-                SaParams {
-                    chains: 2,
-                    max_steps: 100,
-                    ..SaParams::default()
-                },
-                11,
-            )
-            .top_k(1)[0]
-                .1
+        let params = SaParams {
+            chains: 2,
+            max_steps: 100,
+            ..SaParams::default()
         };
-        assert_eq!(run(), run());
+        let best = || run(&[0i64], score, neighbor, params, 11, Threads::AUTO).top_k(1)[0].1;
+        assert_eq!(best(), best());
     }
 
     #[test]
     fn chain_bests_never_worse_than_start() {
         let starts = vec![0i64, 100];
-        let out = anneal(
-            &starts,
-            score,
-            neighbor,
-            SaParams {
-                chains: 2,
-                max_steps: 100,
-                ..SaParams::default()
-            },
-            5,
-        );
+        let params = SaParams {
+            chains: 2,
+            max_steps: 100,
+            ..SaParams::default()
+        };
+        let out = run(&starts, score, neighbor, params, 5, Threads::AUTO);
         for (i, (_, s)) in out.chain_bests.iter().enumerate() {
             assert!(*s >= score(&starts[i]) - 1e-12);
         }
@@ -462,52 +359,19 @@ mod tests {
 
     #[test]
     fn chain_trajectory_is_independent_of_batch_position() {
-        // The PR-2 determinism contract: chain c's result no longer depends
-        // on how many chains ran before it through a shared RNG.
+        // The determinism contract: chain c's result does not depend on how
+        // many chains ran before it.
         let starts: Vec<i64> = (0..6).map(|i| i * 20).collect();
         let params = SaParams {
             chains: 6,
             max_steps: 120,
             ..SaParams::default()
         };
-        let batch = anneal(&starts, score, neighbor, params, 9);
-        let neighbor_into = wrap_allocating(neighbor);
+        let batch = run(&starts, score, neighbor, params, 9, Threads::AUTO);
         for (c, expected) in batch.chain_bests.iter().enumerate() {
-            let (solo, _) = run_chain(&starts[c], c, &score, &neighbor_into, &params, 9, None);
+            let (solo, _) = run_chain(&starts[c], c, &score, &neighbor, &params, 9, &CancelToken::new()).expect("untripped");
             assert_eq!(&solo, expected, "chain {c} diverged from its solo replay");
         }
-    }
-
-    #[test]
-    fn in_place_moves_match_allocating_moves_bitwise() {
-        // The scratch-buffer hot loop and the classic allocating interface
-        // must produce identical batches: same RNG draws, same swaps.
-        let starts: Vec<i64> = (0..5).map(|i| i * 17).collect();
-        let params = SaParams {
-            chains: 7,
-            max_steps: 150,
-            patience: 20,
-            ..SaParams::default()
-        };
-        let allocating = anneal(&starts, score, neighbor, params, 21);
-        let in_place = anneal_in_place(
-            &starts,
-            score,
-            |x: &i64, out: &mut i64, rng: &mut StdRng| *out = neighbor(x, rng),
-            params,
-            21,
-        );
-        assert!(bests_equal(&allocating, &in_place));
-        let cancellable = anneal_cancellable_in_place(
-            &starts,
-            score,
-            |x: &i64, out: &mut i64, rng: &mut StdRng| *out = neighbor(x, rng),
-            params,
-            21,
-            &CancelToken::new(),
-        )
-        .expect("untripped token must not cancel");
-        assert!(bests_equal(&allocating, &cancellable));
     }
 
     fn bests_equal(a: &SaOutcome<i64>, b: &SaOutcome<i64>) -> bool {
@@ -528,18 +392,17 @@ mod tests {
         fn identical_at_any_thread_count_and_order(seed in 0u64..1_000_000, chains in 1usize..12, max_steps in 1usize..60) {
             let starts: Vec<i64> = (0..4).map(|i| i * 25).collect();
             let params = SaParams { chains, max_steps, ..SaParams::default() };
-            let reference = anneal_threaded(&starts, score, neighbor, params, seed, Threads::fixed(1));
+            let reference = run(&starts, score, neighbor, params, seed, Threads::fixed(1));
             for threads in [2usize, 8] {
-                let out = anneal_threaded(&starts, score, neighbor, params, seed, Threads::fixed(threads));
+                let out = run(&starts, score, neighbor, params, seed, Threads::fixed(threads));
                 prop_assert!(bests_equal(&reference, &out), "threads={threads}");
             }
             // Execute chains in reverse order, sequentially, and scatter
             // the results back: must reproduce the batch exactly.
             let mut permuted: Vec<Option<(i64, f64)>> = vec![None; chains];
             let mut steps = 0usize;
-            let neighbor_into = wrap_allocating(neighbor);
             for c in (0..chains).rev() {
-                let (best, s) = run_chain(&starts[c % starts.len()], c, &score, &neighbor_into, &params, seed, None);
+                let (best, s) = run_chain(&starts[c % starts.len()], c, &score, &neighbor, &params, seed, &CancelToken::new()).expect("untripped");
                 permuted[c] = Some(best);
                 steps += s;
             }
@@ -614,9 +477,9 @@ mod tests {
         [0.3, -1.0, 0.9, 0.1, 2.0, -0.5, 1.1, 0.0, 1.7][*x as usize]
     }
 
-    fn tiny_neighbor(x: &i64, rng: &mut StdRng) -> i64 {
+    fn tiny_neighbor(x: &i64, out: &mut i64, rng: &mut StdRng) {
         use rand::Rng;
-        (x + rng.gen_range(-2i64..=2)).clamp(0, 8)
+        *out = (x + rng.gen_range(-2i64..=2)).clamp(0, 8);
     }
 
     proptest! {
@@ -633,15 +496,14 @@ mod tests {
         ) {
             let starts: Vec<i64> = vec![0, 4, 8];
             let params = SaParams { chains, max_steps, patience, ..SaParams::default() };
-            let neighbor_into = wrap_allocating(tiny_neighbor);
             let mut reference = SaOutcome { chain_bests: Vec::new(), steps_executed: 0 };
             for c in 0..chains {
-                let (best, steps) = run_chain_unmemoized(&starts[c % starts.len()], c, &tiny_score, &neighbor_into, &params, seed);
+                let (best, steps) = run_chain_unmemoized(&starts[c % starts.len()], c, &tiny_score, &tiny_neighbor, &params, seed);
                 reference.chain_bests.push(best);
                 reference.steps_executed += steps;
             }
             for threads in [1usize, 2, 8] {
-                let out = anneal_threaded(&starts, tiny_score, tiny_neighbor, params, seed, Threads::fixed(threads));
+                let out = run(&starts, tiny_score, tiny_neighbor, params, seed, Threads::fixed(threads));
                 prop_assert!(bests_equal(&reference, &out), "threads={threads}");
             }
         }
@@ -650,7 +512,6 @@ mod tests {
     #[test]
     fn score_runs_once_per_distinct_state_per_chain() {
         use std::collections::BTreeSet;
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let starts: Vec<i64> = vec![0, 4, 8];
         let params = SaParams {
             chains: 6,
@@ -658,7 +519,6 @@ mod tests {
             ..SaParams::default()
         };
         // Each chain's distinct scored states, from the memo-free loop.
-        let neighbor_into = wrap_allocating(tiny_neighbor);
         let mut distinct = 0;
         let mut proposals = 0;
         for c in 0..params.chains {
@@ -667,7 +527,7 @@ mod tests {
                 seen.borrow_mut().insert(*x);
                 tiny_score(x)
             };
-            let (_, steps) = run_chain_unmemoized(&starts[c % starts.len()], c, &recording, &neighbor_into, &params, 17);
+            let (_, steps) = run_chain_unmemoized(&starts[c % starts.len()], c, &recording, &tiny_neighbor, &params, 17);
             distinct += seen.borrow().len();
             proposals += steps + 1;
         }
@@ -676,48 +536,74 @@ mod tests {
             calls.fetch_add(1, Ordering::Relaxed);
             tiny_score(x)
         };
-        anneal_threaded(&starts, counted, tiny_neighbor, params, 17, Threads::fixed(2));
+        run(&starts, counted, tiny_neighbor, params, 17, Threads::fixed(2));
         assert_eq!(calls.load(Ordering::Relaxed), distinct);
         assert!(distinct * 10 < proposals, "the fixture must revisit states");
     }
 
     #[test]
-    fn cancellable_anneal_matches_plain_anneal_when_untripped() {
-        use glimpse_supervise::CancelToken;
-        let starts: Vec<i64> = (0..4).map(|i| i * 25).collect();
-        let params = SaParams {
-            chains: 6,
-            max_steps: 80,
-            ..SaParams::default()
-        };
-        let plain = anneal(&starts, score, neighbor, params, 13);
-        let cancellable = anneal_cancellable(&starts, score, neighbor, params, 13, &CancelToken::new())
-            .expect("untripped token must not cancel the batch");
-        assert!(bests_equal(&plain, &cancellable));
-    }
-
-    #[test]
     fn tripped_token_discards_the_whole_batch() {
-        use glimpse_supervise::{CancelReason, CancelToken};
-        let pre = CancelToken::new();
-        pre.cancel(CancelReason::Interrupted);
-        assert!(anneal_cancellable(&[0i64], score, neighbor, SaParams::default(), 1, &pre).is_none());
-        // Trip from inside the score function: chains bail early and the
-        // cut-short batch is never returned.
-        let mid = CancelToken::new();
-        let evals = std::sync::atomic::AtomicUsize::new(0);
-        let tripping_score = |x: &i64| {
-            if evals.fetch_add(1, std::sync::atomic::Ordering::Relaxed) == 40 {
-                mid.cancel(CancelReason::DeadlineExceeded);
-            }
-            score(x)
-        };
         let params = SaParams {
             chains: 8,
             max_steps: 400,
             ..SaParams::default()
         };
-        assert!(anneal_cancellable(&[0i64], tripping_score, neighbor, params, 2, &mid).is_none());
+        let starts: Vec<i64> = (0..8).map(|i| i * 12).collect();
+        // Long jumps: almost every proposal is a state its chain has not
+        // scored, so the energy calls track the steps taken.
+        let neighbor = |x: &i64, out: &mut i64, rng: &mut StdRng| {
+            use rand::Rng;
+            *out = x + rng.gen_range(-1000i64..=1000);
+        };
+        let calls = AtomicUsize::new(0);
+        let counted = |x: &i64| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            score(x)
+        };
+        run(&starts, counted, neighbor, params, 2, Threads::fixed(2));
+        let full = calls.swap(0, Ordering::Relaxed);
+        // Tripped from inside the energy at its 41st call: every chain
+        // bails within one poll interval, and the cut-short batch is never
+        // returned.
+        let trip_at = 40;
+        let bound = trip_at + 1 + params.chains * CANCEL_POLL_STEPS;
+        assert!(full > bound, "the fixture must run well past the trip ({full} calls)");
+        for threads in [1usize, 2, 8] {
+            // A token tripped before the batch: no chain scores anything.
+            let pre = CancelToken::new();
+            pre.cancel(CancelReason::Interrupted);
+            calls.store(0, Ordering::Relaxed);
+            assert!(anneal(&starts, counted, neighbor, params, 2, Threads::fixed(threads), &pre).is_none());
+            assert_eq!(calls.load(Ordering::Relaxed), 0, "threads={threads}");
+
+            let mid = CancelToken::new();
+            calls.store(0, Ordering::Relaxed);
+            let tripping = |x: &i64| {
+                if calls.fetch_add(1, Ordering::Relaxed) == trip_at {
+                    mid.cancel(CancelReason::DeadlineExceeded);
+                }
+                score(x)
+            };
+            assert!(anneal(&starts, tripping, neighbor, params, 2, Threads::fixed(threads), &mid).is_none());
+            let spent = calls.load(Ordering::Relaxed);
+            assert!(spent <= bound, "threads={threads}: {spent} energy calls after a trip at {trip_at}");
+        }
+        // Tripped by the first proposal, after the chain's last poll: the
+        // chain runs to its end, and the batch is discarded all the same.
+        let late = CancelToken::new();
+        calls.store(0, Ordering::Relaxed);
+        let tripping = |x: &i64| {
+            if calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                late.cancel(CancelReason::Interrupted);
+            }
+            score(x)
+        };
+        let unpolled = SaParams {
+            chains: 1,
+            max_steps: CANCEL_POLL_STEPS - 1,
+            ..params
+        };
+        assert!(anneal(&starts, tripping, neighbor, unpolled, 2, Threads::fixed(1), &late).is_none());
     }
 
     #[test]

@@ -303,14 +303,6 @@ impl FaultPlan {
         }
     }
 
-    /// Arms the artifact-fault triggers (chaos tests; see
-    /// [`ArtifactFaults`]).
-    #[must_use]
-    pub fn with_artifact_faults(mut self, artifact: ArtifactFaults) -> Self {
-        self.artifact = Some(artifact);
-        self
-    }
-
     /// Artifact-fault triggers in effect (defaults to none armed).
     #[must_use]
     pub fn artifact_faults(&self) -> ArtifactFaults {
@@ -587,14 +579,6 @@ impl FaultInjector {
         None
     }
 
-    /// Clears the transient-loss window and revives a dead device. Only
-    /// the pool's re-admission probe uses this; faults keep firing per the
-    /// rates afterwards.
-    pub fn revive(&mut self) {
-        self.dead = false;
-        self.lost_remaining = 0;
-    }
-
     /// Snapshots the injector for a checkpoint (see [`InjectorState`]).
     #[must_use]
     pub fn state(&self) -> InjectorState {
@@ -774,16 +758,13 @@ mod tests {
     }
 
     #[test]
-    fn dead_stays_dead_until_revived() {
+    fn dead_stays_dead() {
         let plan = FaultPlan::none().with_dead_device("Titan Xp");
         let mut injector = FaultInjector::for_device(&plan, "Titan Xp");
         for _ in 0..10 {
             assert_eq!(injector.next_event(), Some(FaultEvent::Fail(MeasureFault::DeviceDead)));
         }
         assert!(injector.is_dead());
-        injector.revive();
-        // dead rate is 1.0, so the next draw kills it again immediately.
-        assert_eq!(injector.next_event(), Some(FaultEvent::Fail(MeasureFault::DeviceDead)));
     }
 
     #[test]

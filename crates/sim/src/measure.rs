@@ -196,14 +196,6 @@ impl Measurer {
         self.injector.as_ref().is_some_and(FaultInjector::is_dead)
     }
 
-    /// Revives a dead device (the pool's re-admission probe on a false
-    /// positive). Faults keep firing per the plan afterwards.
-    pub fn revive_device(&mut self) {
-        if let Some(injector) = &mut self.injector {
-            injector.revive();
-        }
-    }
-
     /// Debits simulated GPU seconds outside a measurement (retry backoff,
     /// probe traffic). Saturates at zero for negative amounts.
     pub fn charge(&mut self, seconds: f64) {

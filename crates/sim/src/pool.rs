@@ -399,8 +399,9 @@ impl DevicePool {
                 let mut record = health.lock();
                 if device_dead {
                     // The injector declared permanent death mid-job;
-                    // quarantine rather than retire — the probe path gets
-                    // to confirm (and a revived device can return).
+                    // quarantine rather than retire — the probe path
+                    // confirms it (a dead device fails every probe) and
+                    // retires the device at the probe limit.
                     record.status = DeviceStatus::Quarantined;
                     record.quarantines += 1;
                     record.consecutive_failures = 0;
@@ -433,10 +434,7 @@ impl DevicePool {
     /// asks the device for a sign of life.
     fn probe(measurer: &mut Measurer, policy: PoolPolicy) -> bool {
         measurer.charge(policy.probe_cost_s);
-        if measurer.is_device_dead() {
-            return false;
-        }
-        true
+        !measurer.is_device_dead()
     }
 
     /// Current health of one device.

@@ -21,20 +21,13 @@
 #![allow(unsafe_code, reason = "U1: the two hand-declared libc bindings for signal handling")]
 
 use crate::cancel::{CancelReason, CancelToken};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
 static TOKEN: OnceLock<CancelToken> = OnceLock::new();
-static SIGNALS: AtomicU32 = AtomicU32::new(0);
 
 /// The process-wide token, if [`install`] has run.
 pub fn token() -> Option<CancelToken> {
     TOKEN.get().cloned()
-}
-
-/// How many shutdown signals have been received.
-pub fn signals_received() -> u32 {
-    SIGNALS.load(Ordering::Acquire)
 }
 
 /// Installs SIGINT/SIGTERM handlers and returns the process-wide token
@@ -48,7 +41,11 @@ pub fn install() -> CancelToken {
 
 #[cfg(unix)]
 mod platform {
-    use super::{CancelReason, Ordering, SIGNALS, TOKEN};
+    use super::{CancelReason, TOKEN};
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// How many shutdown signals have been received.
+    static SIGNALS: AtomicU32 = AtomicU32::new(0);
 
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;

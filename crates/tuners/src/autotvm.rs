@@ -19,7 +19,8 @@
 use crate::context::{TuneContext, Tuner, TuningOutcome};
 use crate::cost_model::GbtCostModel;
 use crate::history::TuningHistory;
-use glimpse_mlkit::sa::{anneal_cancellable_in_place, SaParams};
+use glimpse_mlkit::parallel::Threads;
+use glimpse_mlkit::sa::{anneal, SaParams};
 use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use rand::Rng;
@@ -136,7 +137,7 @@ impl Tuner for AutoTvmTuner {
             // One seed per round keeps the batch deterministic while the
             // chains fan out across worker threads (seed-split per chain).
             let sa_seed: u64 = rng.gen();
-            let Some(outcome) = anneal_cancellable_in_place(
+            let Some(outcome) = anneal(
                 &starts,
                 |c| model.predict(space, c),
                 |c: &Config, out: &mut Config, r: &mut _| space.neighbor_into(c, out, r),
@@ -148,6 +149,7 @@ impl Tuner for AutoTvmTuner {
                     patience: 0,
                 },
                 sa_seed,
+                Threads::AUTO,
                 &cancel,
             ) else {
                 break;

@@ -18,7 +18,8 @@
 use crate::context::{TuneContext, Tuner, TuningOutcome};
 use crate::cost_model::GbtCostModel;
 use glimpse_mlkit::kmeans::{kmeans, snap_to_points};
-use glimpse_mlkit::sa::{anneal_cancellable_in_place, SaParams};
+use glimpse_mlkit::parallel::Threads;
+use glimpse_mlkit::sa::{anneal, SaParams};
 use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use rand::Rng;
@@ -117,7 +118,7 @@ impl Tuner for ChameleonTuner {
             // Per-round seed: chains fan out across workers, seed-split per
             // chain, so the round is deterministic at any thread count.
             let sa_seed: u64 = rng.gen();
-            let Some(outcome) = anneal_cancellable_in_place(
+            let Some(outcome) = anneal(
                 &starts,
                 |c| model.predict(space, c),
                 |c: &Config, out: &mut Config, r: &mut _| space.neighbor_into(c, out, r),
@@ -129,6 +130,7 @@ impl Tuner for ChameleonTuner {
                     patience: 0,
                 },
                 sa_seed,
+                Threads::AUTO,
                 &cancel,
             ) else {
                 break;

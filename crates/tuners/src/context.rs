@@ -52,12 +52,6 @@ impl RunControl {
         Self::default()
     }
 
-    /// Supervision under `cancel` with no deadlines.
-    #[must_use]
-    pub fn with_cancel(cancel: CancelToken) -> Self {
-        Self { cancel, ..Self::default() }
-    }
-
     /// Sets the per-cell deadline (simulated seconds).
     #[must_use]
     pub fn deadline_s(mut self, deadline: Option<f64>) -> Self {
@@ -168,7 +162,7 @@ impl<'a> TuneContext<'a> {
 
     /// A handle to the run's cancellation token (shared state; cloning is
     /// cheap). Tuners hand this to cancellable explorer fan-outs such as
-    /// `anneal_cancellable` so an SA round in flight stops promptly.
+    /// `anneal` so an SA round in flight stops promptly.
     #[must_use]
     pub fn cancel_token(&self) -> CancelToken {
         self.control.cancel.clone()

@@ -1,6 +1,6 @@
 //! Genetic-algorithm tuner — the search strategy TVM's own tuner family
 //! ships alongside random search (§5: "TVM builds on random search and
-//! genetic algorithms"; GGA [11] guides a GA with history).
+//! genetic algorithms"; GGA \[11\] guides a GA with history).
 //!
 //! Standard generational GA over knob-index chromosomes: tournament
 //! selection on measured throughput, uniform crossover, per-knob mutation,

@@ -2,7 +2,7 @@
 //! used for transfer learning and meta-training.
 //!
 //! Serialized [`TuningHistory`] records are this reproduction's equivalent
-//! of TVM tuning logs / the TenSet corpus [19] that §3.1 gathers to train
+//! of TVM tuning logs / the TenSet corpus \[19\] that §3.1 gathers to train
 //! the prior generator `H`.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]

@@ -44,7 +44,7 @@ use crate::context::{RunControl, TuneContext, Tuner, TuningOutcome};
 use crate::history::Trial;
 use glimpse_sim::{FaultRates, Measurer, MeasurerState, RetryPolicy, StorageFaults};
 use glimpse_space::SearchSpace;
-use glimpse_supervise::{Abandonment, CellStatus};
+use glimpse_supervise::{CellStatus, Degradation, HealthReport};
 use glimpse_tensor_prog::{Task, TemplateKind};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -549,6 +549,23 @@ pub struct SupervisedOutcome {
     pub deadline_slack_s: Option<f64>,
 }
 
+impl SupervisedOutcome {
+    /// Settles a run that has just finished under `control`: the token's
+    /// reason, a dead device and fallback rungs decide the status (see
+    /// [`CellStatus::settle_with_health`]), and the slack is taken under
+    /// the tightest of the control's deadlines. The one rule both the
+    /// journaled and the unjournaled paths report through.
+    #[must_use]
+    pub fn settle(outcome: TuningOutcome, control: &RunControl, device_dead: bool) -> Self {
+        let component_fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
+        Self {
+            status: CellStatus::settle_with_health(control.cancel.reason(), device_dead, component_fallback),
+            deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
+            outcome,
+        }
+    }
+}
+
 /// Runs `tuner` on one (task, device) cell with crash-safe journaling.
 ///
 /// Fresh run: writes the header, journals every trial before the tuner
@@ -563,7 +580,7 @@ pub struct SupervisedOutcome {
 /// Unsupervised convenience wrapper over [`run_supervised`]: no token, no
 /// deadlines. Note a run whose device died mid-cell returns its partial
 /// outcome but does **not** write `complete.json` — the cell stays
-/// resumable (on a revived device) or reassignable by the fleet supervisor.
+/// resumable, and the fleet supervisor may reassign it to a survivor.
 ///
 /// # Errors
 ///
@@ -625,7 +642,7 @@ pub fn run_supervised<T: Tuner + ?Sized>(
         if let Some(outcome) = load_complete(spec.dir)? {
             // A completed cell re-reports through its stored health: a run
             // that finished on fallback rungs stays Degraded on resume.
-            let fallback = outcome.health.as_ref().is_some_and(glimpse_supervise::HealthReport::any_degraded);
+            let fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
             return Ok(SupervisedOutcome {
                 deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
                 status: CellStatus::settle_with_health(None, false, fallback),
@@ -675,29 +692,20 @@ pub fn run_supervised<T: Tuner + ?Sized>(
     if let Some(err) = journal.take_poison() {
         return Err(err);
     }
-    let component_fallback = outcome.health.as_ref().is_some_and(glimpse_supervise::HealthReport::any_degraded);
-    let status = match (control.cancel.reason(), measurer.is_device_dead()) {
-        (Some(reason), _) => {
-            journal.flush_snapshot(&measurer.state())?;
-            CellStatus::Degraded(reason.into())
-        }
-        (None, true) => {
-            journal.flush_snapshot(&measurer.state())?;
-            CellStatus::Abandoned(Abandonment::DeviceDead)
-        }
-        (None, false) => {
-            // A full-budget run on fallback rungs is still *finished*:
-            // complete.json is written (the cell never re-runs), but the
-            // status reports the weakened search strategy.
-            journal.mark_complete(&outcome)?;
-            CellStatus::settle_with_health(None, false, component_fallback)
-        }
-    };
-    Ok(SupervisedOutcome {
-        deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
-        status,
-        outcome,
-    })
+    let supervised = SupervisedOutcome::settle(outcome, control, measurer.is_device_dead());
+    // A full-budget run on fallback rungs is still *finished*: complete.json
+    // is written (the cell never re-runs), but the status reports the
+    // weakened search strategy. A cut-short or abandoned cell flushes its
+    // snapshot and stays resumable.
+    if matches!(
+        supervised.status,
+        CellStatus::Complete | CellStatus::Degraded(Degradation::ComponentFallback)
+    ) {
+        journal.mark_complete(&supervised.outcome)?;
+    } else {
+        journal.flush_snapshot(&measurer.state())?;
+    }
+    Ok(supervised)
 }
 
 /// Simulated seconds left under the tightest configured deadline.
@@ -789,7 +797,6 @@ mod tests {
     use glimpse_gpu_spec::database;
     use glimpse_sim::FaultPlan;
     use glimpse_space::templates;
-    use glimpse_supervise::Degradation;
     use glimpse_tensor_prog::models;
 
     fn temp_dir(name: &str) -> PathBuf {

@@ -1,29 +1,27 @@
 //! Degraded-mode tuning cost record (not a paper artifact): measures what
-//! artifact integrity checking costs on the load path — per-class envelope
-//! verification time against the end-to-end time of a tuning round — and
-//! what each fallback rung costs in search quality, as the best-achieved
-//! GFLOPS delta between a healthy Glimpse round and the same round with one
-//! learned component degraded to its fallback.
+//! artifact integrity checking costs on the load path — the artifact
+//! bundle's envelope verification time against the end-to-end time of a
+//! tuning round — and what each fallback rung costs in search quality, as
+//! the best-achieved GFLOPS delta between a healthy Glimpse round and the
+//! same round with one learned component degraded to its fallback.
 //!
-//! Emits `BENCH_degradation.json`. The acceptance bar is total envelope
-//! verification (all five artifact classes) under 1% of a tuning round; the
-//! report carries the measured figure and the verdict, plus a per-rung
-//! quality table.
+//! Emits `BENCH_degradation.json`. The acceptance bar is envelope
+//! verification of the artifact bundle, the one enveloped artifact class,
+//! under 1% of a tuning round; the report carries the measured figure and
+//! the verdict, plus a per-rung quality table.
 //!
 //! ```text
 //! degradation [--quick] [--out <path>]
 //! ```
 
 use glimpse_bench::timing::time_best_of;
-use glimpse_core::artifacts::{GlimpseArtifacts, TrainingOptions};
+use glimpse_core::artifacts::{GlimpseArtifacts, TrainingOptions, ARTIFACTS_ENVELOPE};
 use glimpse_core::health::ResolvedArtifacts;
 use glimpse_core::tuner::{GlimpseConfig, GlimpseTuner};
-use glimpse_core::{corpus, corpus::CorpusEntry};
 use glimpse_durable::envelope;
-use glimpse_gpu_spec::{database, snapshot};
-use glimpse_sim::calibrate::{self, NoiseEstimate};
+use glimpse_gpu_spec::database;
 use glimpse_sim::Measurer;
-use glimpse_space::{logfmt, templates};
+use glimpse_space::templates;
 use glimpse_supervise::{Component, HealthCause};
 use glimpse_tensor_prog::models;
 use glimpse_tuners::{Budget, TuneContext, Tuner};
@@ -71,48 +69,18 @@ fn main() {
     let task = &model.tasks()[2];
     let space = templates::space_for_task(task);
 
-    // --- Envelope verification: every artifact class, verify-on-load ----
+    // --- Envelope verification of the bundle, verify-on-load ------------
     let scratch = Scratch::new("verify");
     let artifacts_path = scratch.0.join("artifacts.glimpse");
     bundle.save(&artifacts_path).expect("save bundle");
-    let corpus_path = scratch.0.join("corpus.json");
-    let entries: Vec<CorpusEntry> = Vec::new();
-    corpus::save(&corpus_path, &entries).expect("save corpus");
-    let log_path = scratch.0.join("tuning.log");
-    logfmt::save_log(&log_path, &[]).expect("save log");
-    let calibration_path = scratch.0.join("calibration.json");
-    calibrate::save_estimate(
-        &calibration_path,
-        &NoiseEstimate {
-            mean_latency_s: 1.5e-3,
-            log_sigma: 0.05,
-            samples: 8,
-        },
-    )
-    .expect("save calibration");
-    let snapshot_path = scratch.0.join("specs.json");
-    snapshot::save_snapshot(&snapshot_path, std::slice::from_ref(target)).expect("save snapshot");
 
     // The envelope check (header parse + CRC over the payload) is the cost
     // the integrity layer *adds* to every load; decoding the verified
-    // payload is the pre-existing load cost and is reported separately for
-    // the one class where it dominates (the artifact bundle).
-    let mut verify_total_s = 0.0;
-    let mut classes = Vec::new();
-    let checks: [(&str, &PathBuf, envelope::EnvelopeSpec); 5] = [
-        ("artifacts", &artifacts_path, glimpse_core::artifacts::ARTIFACTS_ENVELOPE),
-        ("corpus", &corpus_path, corpus::CORPUS_ENVELOPE),
-        ("tuning-log", &log_path, logfmt::TUNING_LOG_ENVELOPE),
-        ("calibration", &calibration_path, calibrate::CALIBRATION_ENVELOPE),
-        ("spec-db", &snapshot_path, snapshot::SPEC_DB_ENVELOPE),
-    ];
-    for (name, path, spec) in checks {
-        let (verify_s, verdict) = time_best_of(reps, || envelope::verify_file(path, spec));
-        assert!(verdict.is_intact(), "{name}: fresh artifact failed verification: {verdict:?}");
-        verify_total_s += verify_s;
-        let bytes = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        classes.push(json!({ "class": name, "bytes": bytes, "verify_us": verify_s * 1e6 }));
-    }
+    // payload is the pre-existing load cost and is reported separately.
+    let (verify_s, verdict) = time_best_of(reps, || envelope::verify_file(&artifacts_path, ARTIFACTS_ENVELOPE));
+    assert!(verdict.is_intact(), "fresh bundle failed envelope verification: {verdict:?}");
+    let bytes = std::fs::metadata(&artifacts_path).map(|m| m.len()).unwrap_or(0);
+    let classes = [json!({ "class": ARTIFACTS_ENVELOPE.kind, "bytes": bytes, "verify_us": verify_s * 1e6 })];
     let (bundle_decode_s, bundle_verdict) = time_best_of(reps, || GlimpseArtifacts::verify(&artifacts_path));
     assert!(
         bundle_verdict.is_intact(),
@@ -161,12 +129,12 @@ fn main() {
         }));
     }
 
-    let verify_overhead_pct = verify_total_s / round_s * 100.0;
+    let verify_overhead_pct = verify_s / round_s * 100.0;
     let report = json!({
         "quick": quick,
         "verify": {
             "classes": classes,
-            "total_us": verify_total_s * 1e6,
+            "total_us": verify_s * 1e6,
             "bundle_decode_ms": bundle_decode_s * 1e3,
             "round_host_ms": round_host_s * 1e3,
             "round_gpu_ms": round_gpu_s * 1e3,

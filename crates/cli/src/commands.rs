@@ -2,17 +2,14 @@
 
 use glimpse_core::artifacts::{GlimpseArtifacts, TrainingOptions, ARTIFACTS_ENVELOPE};
 use glimpse_core::blueprint::BlueprintCodec;
-use glimpse_core::corpus::CORPUS_ENVELOPE;
 use glimpse_core::explain;
 use glimpse_core::health::{cause_of, ResolvedArtifacts};
 use glimpse_core::tuner::{GlimpseConfig, GlimpseTuner};
 use glimpse_durable::atomic_write;
-use glimpse_durable::envelope::{self, EnvelopeSpec, Integrity};
-use glimpse_gpu_spec::{database, datasheet, snapshot, GpuSpec};
+use glimpse_durable::envelope::{self, Integrity};
+use glimpse_gpu_spec::{database, datasheet, GpuSpec};
 use glimpse_mlkit::parallel;
-use glimpse_sim::calibrate::CALIBRATION_ENVELOPE;
 use glimpse_sim::{DeviceError, DevicePool, DeviceStatus, FaultPlan, Measurer, PoolPolicy};
-use glimpse_space::logfmt::TUNING_LOG_ENVELOPE;
 use glimpse_space::{templates, SearchSpace};
 use glimpse_supervise::{signal, Abandonment, CancelToken, CellReport, CellStatus, DegradationReport, HealthReport, Heartbeat, Watchdog};
 use glimpse_tensor_prog::{models, Task, TemplateKind};
@@ -670,16 +667,6 @@ fn run_tuner(tuner: &str, artifacts: Option<&ResolvedArtifacts>, gpu: &GpuSpec, 
     Ok(build_tuner(tuner, artifacts, gpu)?.tune(ctx))
 }
 
-/// Every envelope spec the current build writes; doctor verifies each file
-/// against the spec its own header names.
-const KNOWN_ENVELOPES: [EnvelopeSpec; 5] = [
-    ARTIFACTS_ENVELOPE,
-    CORPUS_ENVELOPE,
-    TUNING_LOG_ENVELOPE,
-    CALIBRATION_ENVELOPE,
-    snapshot::SPEC_DB_ENVELOPE,
-];
-
 /// Recursively lists every regular file under `dir`.
 fn collect_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("reading {}: {e}", dir.display()))?;
@@ -708,20 +695,20 @@ fn looks_enveloped(bytes: &[u8]) -> bool {
 }
 
 /// Diagnoses one enveloped file: the `kind vN` label from its header (or a
-/// placeholder when the header itself is gone) and the integrity verdict
-/// against the spec that kind implies.
+/// placeholder when the header itself is gone) and its integrity verdict.
+/// The artifact bundle is the one kind this build writes, so an envelope
+/// of any other kind is schema drift.
 fn diagnose_envelope(path: &Path, bytes: &[u8]) -> (String, Integrity) {
     match envelope::sniff(bytes) {
         Ok(header) => {
             let label = header.label();
-            let verdict = match KNOWN_ENVELOPES.iter().find(|spec| spec.kind == header.kind) {
-                Some(spec) if spec.kind == ARTIFACTS_ENVELOPE.kind => GlimpseArtifacts::verify(path),
-                Some(spec) if spec.kind == snapshot::SPEC_DB_ENVELOPE.kind => snapshot::verify_snapshot(path),
-                Some(spec) => envelope::verify_file(path, *spec),
-                None => Integrity::SchemaDrift {
+            let verdict = if header.kind == ARTIFACTS_ENVELOPE.kind {
+                GlimpseArtifacts::verify(path)
+            } else {
+                Integrity::SchemaDrift {
                     found: label.clone(),
-                    expected: "a known glimpse artifact kind".into(),
-                },
+                    expected: ARTIFACTS_ENVELOPE.label(),
+                }
             };
             (label, verdict)
         }
@@ -750,7 +737,7 @@ fn print_health_table(verdict: &Integrity) {
 }
 
 /// `glimpse doctor <dir>` — walks a directory, verifies every artifact
-/// envelope against its own header's kind, prints the per-component health
+/// envelope as an artifact bundle, prints the per-component health
 /// table the artifact bundle resolves to, and returns an error (nonzero
 /// exit, via `main`) when any artifact is not intact.
 pub fn doctor(args: &[String]) -> Result<(), String> {
@@ -1251,15 +1238,25 @@ mod tests {
         let dir = std::env::temp_dir().join("glimpse-cli-doctor-test");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        // An intact corpus envelope next to a plain JSON report (skipped).
-        envelope::write_envelope(&dir.join("corpus.bin"), CORPUS_ENVELOPE, b"{\"rows\":[]}").unwrap();
+        // A sealed committed bundle next to a plain JSON report (skipped).
+        let committed = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/artifacts-RTX_2070_Super-42.json");
+        let payload = std::fs::read(committed).unwrap();
+        let bundle = dir.join("artifacts.glimpse");
+        envelope::write_envelope(&bundle, ARTIFACTS_ENVELOPE, &payload).unwrap();
         atomic_write(&dir.join("degradation.json"), b"{\"cells\":[]}").unwrap();
         doctor(&[dir.display().to_string()]).unwrap();
+        // An envelope of any other kind is drift, not an artifact to trust.
+        let foreign = dir.join("corpus.bin");
+        let spec = envelope::EnvelopeSpec { kind: "corpus", schema: 1 };
+        envelope::write_envelope(&foreign, spec, b"[]").unwrap();
+        let err = doctor(&[dir.display().to_string()]).unwrap_err();
+        assert!(err.contains("1 of 2 artifact(s) damaged"), "got: {err}");
+        std::fs::remove_file(&foreign).unwrap();
         // A flipped payload byte must fail doctor with a damage count.
-        let mut bytes = std::fs::read(dir.join("corpus.bin")).unwrap();
+        let mut bytes = std::fs::read(&bundle).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
-        atomic_write(&dir.join("corpus.bin"), &bytes).unwrap();
+        atomic_write(&bundle, &bytes).unwrap();
         let err = doctor(&[dir.display().to_string()]).unwrap_err();
         assert!(err.contains("damaged"), "got: {err}");
         let _ = std::fs::remove_dir_all(&dir);

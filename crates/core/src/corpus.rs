@@ -9,67 +9,15 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use glimpse_durable::envelope::{self, EnvelopeSpec, Integrity};
 use glimpse_gpu_spec::GpuSpec;
 use glimpse_sim::PerfModel;
 use glimpse_space::{templates, Config, SearchSpace};
 use glimpse_tensor_prog::{models, Task};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-use std::fmt;
-use std::path::Path;
-
-/// Envelope identity of a persisted corpus.
-pub const CORPUS_ENVELOPE: EnvelopeSpec = EnvelopeSpec { kind: "corpus", schema: 1 };
-
-/// Why a persisted corpus failed to load (total over arbitrary bytes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CorpusLoadError {
-    /// The envelope did not verify (missing, truncated, checksum, drift).
-    Damaged(Integrity),
-    /// The envelope verified but the payload is not a corpus.
-    Undecodable {
-        /// Decoder message.
-        detail: String,
-    },
-}
-
-impl fmt::Display for CorpusLoadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CorpusLoadError::Damaged(verdict) => write!(f, "corpus damaged: {verdict}"),
-            CorpusLoadError::Undecodable { detail } => write!(f, "corpus undecodable: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for CorpusLoadError {}
-
-/// Persists a generated corpus inside the artifact envelope (atomic write).
-///
-/// # Errors
-///
-/// Returns any I/O error from writing `path`.
-pub fn save(path: &Path, entries: &[CorpusEntry]) -> std::io::Result<()> {
-    let text = serde_json::to_string(&entries).map_err(std::io::Error::other)?;
-    envelope::write_envelope(path, CORPUS_ENVELOPE, text.as_bytes())
-}
-
-/// Loads a corpus persisted by [`save`], verifying the envelope first.
-///
-/// # Errors
-///
-/// [`CorpusLoadError::Damaged`] when the envelope does not verify,
-/// [`CorpusLoadError::Undecodable`] when the payload is not a corpus.
-pub fn load(path: &Path) -> Result<Vec<CorpusEntry>, CorpusLoadError> {
-    let payload = envelope::read_envelope(path, CORPUS_ENVELOPE).map_err(CorpusLoadError::Damaged)?;
-    let text = std::str::from_utf8(&payload).map_err(|e| CorpusLoadError::Undecodable { detail: e.to_string() })?;
-    serde_json::from_str(text).map_err(|e| CorpusLoadError::Undecodable { detail: e.to_string() })
-}
 
 /// One scored configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusSample {
     /// The configuration.
     pub config: Config,
@@ -78,7 +26,7 @@ pub struct CorpusSample {
 }
 
 /// All samples for one (GPU, task) pair.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusEntry {
     /// GPU marketing name.
     pub gpu: String,
@@ -194,31 +142,6 @@ mod tests {
         let corpus = small_corpus();
         assert_eq!(corpus.len(), 6);
         assert!(corpus.iter().all(|e| e.samples.len() == 60));
-    }
-
-    #[test]
-    fn corpus_round_trips_through_the_envelope() {
-        let corpus = small_corpus();
-        let dir = std::env::temp_dir().join(format!("glimpse-corpus-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corpus.json");
-        save(&path, &corpus).unwrap();
-        assert_eq!(load(&path).unwrap(), corpus);
-
-        // A flipped payload byte surfaces as a typed checksum failure.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        glimpse_durable::atomic_write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load(&path).unwrap_err(),
-            CorpusLoadError::Damaged(Integrity::ChecksumMismatch { .. })
-        ));
-        assert_eq!(
-            load(&dir.join("absent.json")).unwrap_err(),
-            CorpusLoadError::Damaged(Integrity::Missing)
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

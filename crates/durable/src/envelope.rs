@@ -1,6 +1,6 @@
 //! The artifact envelope: a CRC32-checksummed, schema-versioned wrapper
-//! around every saved artifact (priors, corpus, tuning logs, calibration
-//! snapshots, spec-DB snapshots).
+//! around the saved artifact bundle (Blueprint codec, prior and
+//! acquisition nets).
 //!
 //! An artifact written through [`write_envelope`] can be handed arbitrary
 //! bytes back — a torn prefix, a bit flip, a file from a newer build, a
@@ -45,8 +45,7 @@ use std::path::Path;
 pub const MAGIC: &str = "glimpse-envelope";
 
 /// The (kind, schema-version) pair an artifact class writes and expects
-/// back. Kind is a short kebab-case noun (`"artifacts"`, `"tuning-log"`,
-/// `"corpus"`, `"calibration"`, `"spec-db"`).
+/// back. Kind is a short kebab-case noun (`"artifacts"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EnvelopeSpec {
     /// Artifact class name embedded in the header.
@@ -397,7 +396,7 @@ mod tests {
     #[test]
     fn wrong_kind_is_drift() {
         let other = EnvelopeSpec {
-            kind: "spec-db",
+            kind: "other-artifact",
             schema: SPEC.schema,
         };
         let sealed = seal(other, b"payload");

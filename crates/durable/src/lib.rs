@@ -14,13 +14,13 @@
 //! * [`wal`] — an append-only write-ahead log of length-prefixed,
 //!   checksummed, sequence-numbered frames whose recovery path tolerates a
 //!   truncated tail and a corrupted trailing record (lossy-tail recovery).
-//! * [`envelope`] — the CRC32-checksummed, schema-versioned wrapper every
-//!   saved artifact (priors, corpus, tuning logs, calibration, spec-DB
-//!   snapshots) travels in, with a panic-free typed verify-on-load.
+//! * [`envelope`] — the CRC32-checksummed, schema-versioned wrapper the
+//!   saved artifact bundle travels in, with a panic-free typed
+//!   verify-on-load.
 //!
 //! This crate sits at the bottom of the workspace DAG (no `glimpse_*`
-//! dependencies) so every layer — `space` log files, `core` artifacts,
-//! `tuners` journals, `bench` reports — can route writes through it.
+//! dependencies) so every layer — `core` artifacts, `tuners` journals,
+//! `bench` reports — can route writes through it.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 #![forbid(unsafe_code)]

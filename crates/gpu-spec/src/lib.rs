@@ -26,10 +26,8 @@ pub mod database;
 pub mod datasheet;
 pub mod features;
 pub mod generation;
-pub mod snapshot;
 pub mod spec;
 
 pub use features::{FeatureVector, Normalizer};
 pub use generation::{Generation, SmArch};
-pub use snapshot::{load_snapshot, save_snapshot, SnapshotError};
 pub use spec::GpuSpec;

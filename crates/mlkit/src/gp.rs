@@ -158,14 +158,6 @@ impl GaussianProcess {
         let z = (mu - best_y) / sigma;
         sigma * (z * standard_normal_cdf(z) + standard_normal_pdf(z))
     }
-
-    /// Upper confidence bound `μ + κσ` — the other classic acquisition the
-    /// paper's footnote 3 references.
-    #[must_use]
-    pub fn upper_confidence_bound(&self, q: &[f64], kappa: f64) -> f64 {
-        let (mu, var) = self.predict(q);
-        mu + kappa * var.sqrt()
-    }
 }
 
 fn standard_normal_pdf(z: f64) -> f64 {
@@ -246,15 +238,6 @@ mod tests {
         let best = ys.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let gp = GaussianProcess::fit(RbfKernel::default(), 1e-6, xs, &ys).unwrap();
         assert!(gp.expected_improvement(&[100.0], best) > 0.0);
-    }
-
-    #[test]
-    fn ucb_exceeds_mean() {
-        let (xs, ys) = sine_data(10);
-        let gp = GaussianProcess::fit(RbfKernel::default(), 1e-6, xs, &ys).unwrap();
-        let q = vec![2.0];
-        let (mu, _) = gp.predict(&q);
-        assert!(gp.upper_confidence_bound(&q, 2.0) > mu);
     }
 
     #[test]

@@ -179,10 +179,9 @@ impl StorageFaults {
 }
 
 /// Artifact-file fault injection for the degraded-mode chaos tier: damage
-/// a saved artifact (bundle, corpus, log, calibration, spec-DB snapshot)
-/// *before* a run loads it, so tests can assert the run completes on a
-/// fallback ladder rung instead of aborting. Like [`StorageFaults`] these
-/// are deterministic triggers, not probabilities.
+/// the saved artifact bundle *before* a run loads it, so tests can assert
+/// the run completes on a fallback ladder rung instead of aborting. Like
+/// [`StorageFaults`] these are deterministic triggers, not probabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ArtifactFaults {
     /// XOR `0xFF` into the byte at this offset (clamped to the last byte),
@@ -648,7 +647,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("artifact.bin");
         let spec = glimpse_durable::envelope::EnvelopeSpec {
-            kind: "spec-db",
+            kind: "artifacts",
             schema: 1,
         };
         let seal = |p: &std::path::Path| glimpse_durable::envelope::write_envelope(p, spec, b"payload-bytes").unwrap();

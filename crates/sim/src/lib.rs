@@ -36,7 +36,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod calibrate;
 pub mod fault;
 pub mod measure;
 pub mod model;

@@ -412,6 +412,40 @@ mod tests {
         assert!((mean / truth - 1.0).abs() < 0.01, "bias {}", mean / truth - 1.0);
     }
 
+    /// The channel contract seen from outside: repeated measurements of one
+    /// valid config show the declared log-normal noise, shrunk by the
+    /// measurer's repeat-averaging, and each one debits the declared
+    /// overhead plus its repeated run time.
+    #[test]
+    fn repeats_recover_the_declared_noise_and_overhead() {
+        let gpu = database::find("RTX 2080 Ti").unwrap().clone();
+        let space = templates::conv2d_direct_space(&Conv2dSpec::square(1, 64, 64, 56, 3, 1, 1));
+        let mut m = Measurer::new(gpu, 3);
+        let mut rng = StdRng::seed_from_u64(1);
+        let config = loop {
+            let c = space.sample_uniform(&mut rng);
+            if m.model().latency_s(&space, &c).is_some() {
+                break c;
+            }
+        };
+        let n = 400;
+        let mut logs = Vec::with_capacity(n);
+        for _ in 0..n {
+            let before = m.elapsed_gpu_seconds();
+            let Outcome::Valid { latency_s, .. } = m.measure(&space, &config).outcome else {
+                panic!("config became invalid");
+            };
+            let debit = m.elapsed_gpu_seconds() - before;
+            let expected = VALID_OVERHEAD_S + f64::from(REPEATS) * latency_s;
+            assert!((debit - expected).abs() < 1e-6, "debited {debit}, expected {expected}");
+            logs.push(latency_s.ln());
+        }
+        let mean = logs.iter().sum::<f64>() / n as f64;
+        let sigma = (logs.iter().map(|l| (l - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt();
+        let expected = NOISE_SIGMA / f64::from(REPEATS).sqrt();
+        assert!((sigma - expected).abs() < 0.4 * expected, "sigma {sigma} vs expected {expected}");
+    }
+
     #[test]
     fn measurements_are_deterministic_given_seed() {
         let gpu = database::find("Titan Xp").unwrap().clone();

@@ -467,12 +467,6 @@ impl DevicePool {
             .collect();
         PoolSummary { devices }
     }
-
-    /// Total simulated GPU seconds across all devices.
-    #[must_use]
-    pub fn total_gpu_seconds(&self) -> f64 {
-        self.devices.iter().map(|d| d.lock().elapsed_gpu_seconds()).sum()
-    }
 }
 
 fn panic_message(payload: &crossbeam::thread::Payload) -> String {
@@ -545,7 +539,6 @@ mod tests {
             m.valid_count() + m.invalid_count()
         });
         assert!(counts.iter().all(|c| *c.as_ref().unwrap() == 5));
-        assert!(p.total_gpu_seconds() > 0.0);
     }
 
     #[test]

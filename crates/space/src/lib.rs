@@ -37,7 +37,6 @@ pub mod config;
 pub mod factorize;
 pub mod kernel;
 pub mod knob;
-pub mod logfmt;
 pub mod templates;
 
 pub use config::{Config, SearchSpace};

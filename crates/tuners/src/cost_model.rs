@@ -47,7 +47,7 @@ const SCORE_SCALE: f64 = 1000.0;
 /// scratch; the fits between warm-start from the previous forest.
 pub const DEFAULT_REFIT_EVERY: usize = 8;
 
-/// Default number of residual trees appended per incremental fit.
+/// Number of residual trees appended per incremental fit.
 pub const DEFAULT_INCREMENTAL_TREES: usize = 8;
 
 /// What the most recent [`GbtCostModel::fit`] call actually did.
@@ -110,7 +110,6 @@ pub struct GbtCostModel {
     rounds: usize,
     fits_since_refit: usize,
     refit_every: usize,
-    incremental_trees: usize,
     scratch_fits: usize,
     incremental_fits: usize,
     skipped_fits: usize,
@@ -135,7 +134,6 @@ impl GbtCostModel {
             rounds: 0,
             fits_since_refit: 0,
             refit_every: DEFAULT_REFIT_EVERY,
-            incremental_trees: DEFAULT_INCREMENTAL_TREES,
             scratch_fits: 0,
             incremental_fits: 0,
             skipped_fits: 0,
@@ -149,13 +147,6 @@ impl GbtCostModel {
     #[must_use]
     pub fn with_refit_every(mut self, rounds: usize) -> Self {
         self.refit_every = rounds.max(1);
-        self
-    }
-
-    /// Sets the number of residual trees per incremental fit (≥ 1).
-    #[must_use]
-    pub fn with_incremental_trees(mut self, trees: usize) -> Self {
-        self.incremental_trees = trees.max(1);
         self
     }
 
@@ -248,7 +239,7 @@ impl GbtCostModel {
         // path the structural fallback rather than a reachable panic.
         if let Some(prev) = self.model.take().filter(|_| !refit_due) {
             let mut rng = child_rng(self.seed, self.rounds as u64);
-            let grown = prev.fit_incremental(&self.train_x, &self.train_y, self.incremental_trees, &mut rng);
+            let grown = prev.fit_incremental(&self.train_x, &self.train_y, DEFAULT_INCREMENTAL_TREES, &mut rng);
             self.model = Some(grown);
             self.fits_since_refit += 1;
             self.incremental_fits += 1;
@@ -350,7 +341,7 @@ impl GbtCostModel {
             forest_trees: self.forest_trees(),
             training_rows: self.train_x.len(),
             refit_every: self.refit_every,
-            incremental_trees: self.incremental_trees,
+            incremental_trees: DEFAULT_INCREMENTAL_TREES,
             cache: self.cache.stats(),
         }
     }
@@ -509,7 +500,7 @@ mod tests {
         // contract that keeps replay/resume byte-identical.
         let (space, history) = measured_history(96, 9);
         let probe: Vec<Config> = history.trials.iter().take(30).map(|t| t.config.clone()).collect();
-        let mut incremental = GbtCostModel::new(0).with_refit_every(3).with_incremental_trees(4);
+        let mut incremental = GbtCostModel::new(0).with_refit_every(3);
         let batch = 8;
         let mut prefix = TuningHistory::new(&history.gpu, &history.model, history.task_index, history.template);
         let mut scratch_boundaries = 0usize;

@@ -1,23 +1,19 @@
-//! Loader fuzz suite for the degraded-mode contract: every artifact loader
-//! (bundle, corpus, tuning log, calibration, spec-DB snapshot) is total
-//! over arbitrary bytes. Whatever is on disk — garbage, a flipped CRC, a
-//! bumped schema version, a truncation at any byte — the loader returns a
-//! typed error and never panics.
+//! Loader fuzz suite for the degraded-mode contract: the artifact-bundle
+//! loader is total over arbitrary bytes. Whatever is on disk — garbage, a
+//! flipped CRC, a bumped schema version, an envelope of another kind, a
+//! truncation at any byte — the loader returns a typed error and never
+//! panics.
 //!
 //! Deterministic sweeps cover every single-byte flip and every truncation
-//! point of a valid fixture per artifact class; proptest feeds arbitrary
-//! bytes and arbitrary foreign envelopes on top.
+//! point of a valid fixture; proptest feeds arbitrary bytes and arbitrary
+//! foreign envelopes on top.
 
 use glimpse_repro::core::artifacts::{ArtifactLoadError, GlimpseArtifacts, ARTIFACTS_ENVELOPE};
-use glimpse_repro::core::corpus::{self, CorpusLoadError, CORPUS_ENVELOPE};
 use glimpse_repro::core::{GlimpseConfig, GlimpseTuner, ResolvedArtifacts};
 use glimpse_repro::durable::atomic_write;
 use glimpse_repro::durable::envelope::{self, EnvelopeSpec, Integrity};
 use glimpse_repro::gpu_spec::database;
-use glimpse_repro::gpu_spec::snapshot::{self, SnapshotError, SPEC_DB_ENVELOPE};
-use glimpse_repro::sim::calibrate::{self, CalibrationLoadError, NoiseEstimate, CALIBRATION_ENVELOPE};
 use glimpse_repro::sim::Measurer;
-use glimpse_repro::space::logfmt::{self, LogLoadError, LogRecord, TUNING_LOG_ENVELOPE};
 use glimpse_repro::space::templates;
 use glimpse_repro::supervise::{Component, HealthCause};
 use glimpse_repro::tensor_prog::models;
@@ -26,16 +22,15 @@ use proptest::prelude::*;
 use serde_json::Value;
 use std::path::{Path, PathBuf};
 
-/// Uniform classification of one loader invocation, shared across the five
-/// error types so the sweeps can assert the same contract everywhere.
+/// Classification of one loader invocation, so the sweeps can assert the
+/// contract uniformly.
 #[derive(Debug, PartialEq)]
 enum Verdict {
     /// Loaded successfully.
     Loaded,
     /// Typed envelope-level damage (missing, truncated, checksum, drift).
     Damaged(Integrity),
-    /// Typed post-envelope error (undecodable payload, invalid entry,
-    /// unparseable line).
+    /// Typed post-envelope error (undecodable payload or shapes).
     Rejected,
 }
 
@@ -53,101 +48,12 @@ fn load_artifacts(path: &Path) -> Verdict {
     }
 }
 
-fn load_corpus(path: &Path) -> Verdict {
-    match corpus::load(path) {
-        Ok(_) => Verdict::Loaded,
-        Err(CorpusLoadError::Damaged(i)) => Verdict::Damaged(i),
-        Err(CorpusLoadError::Undecodable { .. }) => Verdict::Rejected,
-    }
-}
-
-fn load_log(path: &Path) -> Verdict {
-    match logfmt::load_log(path) {
-        Ok(_) => Verdict::Loaded,
-        Err(LogLoadError::Damaged(i)) => Verdict::Damaged(i),
-        Err(LogLoadError::Line { .. }) => Verdict::Rejected,
-    }
-}
-
-fn load_calibration(path: &Path) -> Verdict {
-    match calibrate::load_estimate(path) {
-        Ok(_) => Verdict::Loaded,
-        Err(CalibrationLoadError::Damaged(i)) => Verdict::Damaged(i),
-        Err(CalibrationLoadError::Undecodable { .. }) => Verdict::Rejected,
-    }
-}
-
-fn load_snapshot(path: &Path) -> Verdict {
-    match snapshot::load_snapshot(path) {
-        Ok(_) => Verdict::Loaded,
-        Err(SnapshotError::Damaged(i)) => Verdict::Damaged(i),
-        Err(SnapshotError::Undecodable { .. } | SnapshotError::Invalid(_)) => Verdict::Rejected,
-    }
-}
-
-/// One artifact class under test: how to write a valid fixture, how to load
-/// it back, and the envelope spec its files carry.
-struct Class {
-    name: &'static str,
-    spec: EnvelopeSpec,
-    write: fn(&Path),
-    load: fn(&Path) -> Verdict,
-}
-
-fn classes() -> Vec<Class> {
-    vec![
-        Class {
-            name: "artifacts",
-            spec: ARTIFACTS_ENVELOPE,
-            // A syntactically intact envelope whose payload is not a real
-            // bundle: envelope-level sweeps behave identically to a trained
-            // bundle's (CRC and header checks run before decoding), without
-            // paying for meta-training in a fuzz loop.
-            write: |path| envelope::write_envelope(path, ARTIFACTS_ENVELOPE, b"{\"not\":\"a bundle\"}").unwrap(),
-            load: load_artifacts,
-        },
-        Class {
-            name: "corpus",
-            spec: CORPUS_ENVELOPE,
-            write: |path| corpus::save(path, &[]).unwrap(),
-            load: load_corpus,
-        },
-        Class {
-            name: "tuning-log",
-            spec: TUNING_LOG_ENVELOPE,
-            write: |path| {
-                let records = vec![LogRecord {
-                    space: "conv2d".into(),
-                    knobs: vec![("tile_x".into(), "[1,2,14,2]".into())],
-                    gflops: Some(812.25),
-                }];
-                logfmt::save_log(path, &records).unwrap();
-            },
-            load: load_log,
-        },
-        Class {
-            name: "calibration",
-            spec: CALIBRATION_ENVELOPE,
-            write: |path| {
-                let estimate = NoiseEstimate {
-                    mean_latency_s: 1.5e-3,
-                    log_sigma: 0.05,
-                    samples: 8,
-                };
-                calibrate::save_estimate(path, &estimate).unwrap();
-            },
-            load: load_calibration,
-        },
-        Class {
-            name: "spec-db",
-            spec: SPEC_DB_ENVELOPE,
-            write: |path| {
-                let specs = vec![database::find("Titan Xp").unwrap().clone()];
-                snapshot::save_snapshot(path, &specs).unwrap();
-            },
-            load: load_snapshot,
-        },
-    ]
+/// Writes a syntactically intact envelope whose payload is not a real
+/// bundle: envelope-level sweeps behave identically to a trained bundle's
+/// (CRC and header checks run before decoding), without paying for
+/// meta-training in a fuzz loop.
+fn write_fixture(path: &Path) {
+    envelope::write_envelope(path, ARTIFACTS_ENVELOPE, b"{\"not\":\"a bundle\"}").expect("fixture sealed");
 }
 
 fn temp_file(tag: &str) -> PathBuf {
@@ -158,129 +64,86 @@ fn temp_file(tag: &str) -> PathBuf {
 
 #[test]
 fn intact_fixtures_load_and_verify() {
-    for class in classes() {
-        let path = temp_file(&format!("intact-{}", class.name));
-        (class.write)(&path);
-        let verdict = (class.load)(&path);
-        match class.name {
-            // The stand-in bundle payload is deliberately not decodable.
-            "artifacts" => assert_eq!(verdict, Verdict::Rejected, "{}", class.name),
-            _ => assert_eq!(verdict, Verdict::Loaded, "{}", class.name),
-        }
-        assert_eq!(envelope::verify_file(&path, class.spec), Integrity::Intact, "{}", class.name);
-        let _ = std::fs::remove_file(&path);
-    }
+    let path = temp_file("intact");
+    write_fixture(&path);
+    // The stand-in payload is deliberately not decodable.
+    assert_eq!(load_artifacts(&path), Verdict::Rejected);
+    assert_eq!(envelope::verify_file(&path, ARTIFACTS_ENVELOPE), Integrity::Intact);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn missing_files_are_typed_missing() {
     let path = Path::new("/nonexistent/glimpse-loader-fuzz/absent.bin");
-    for class in classes() {
-        assert_eq!((class.load)(path), Verdict::Damaged(Integrity::Missing), "{}", class.name);
-    }
+    assert_eq!(load_artifacts(path), Verdict::Damaged(Integrity::Missing));
 }
 
-/// Truncation at every byte of every fixture gives a typed error, never a
-/// panic. The tuning log's legacy-JSONL path means sub-magic truncations
-/// fall back to line parsing (still typed); everything else must report
-/// envelope damage.
+/// Truncation at every byte of the fixture reports typed envelope damage,
+/// never a panic.
 #[test]
 fn truncation_at_every_byte_is_typed_and_panic_free() {
-    for class in classes() {
-        let path = temp_file(&format!("trunc-{}", class.name));
-        (class.write)(&path);
-        let full = std::fs::read(&path).expect("fixture readable");
-        for cut in 0..full.len() {
-            atomic_write(&path, &full[..cut]).expect("truncated write");
-            let verdict = (class.load)(&path);
-            let magic_intact = full[..cut].starts_with(envelope::MAGIC.as_bytes());
-            if class.name == "tuning-log" && !magic_intact {
-                // Sub-magic truncations fall to the legacy JSONL path: a
-                // typed line error, or — at cut 0 only — a legitimately
-                // empty legacy log.
-                assert!(
-                    verdict == Verdict::Rejected || (cut == 0 && verdict == Verdict::Loaded),
-                    "{} cut at {cut}: {verdict:?}",
-                    class.name
-                );
-            } else {
-                assert!(
-                    verdict.is_damaged(),
-                    "{} cut at {cut}: expected damage, got {verdict:?}",
-                    class.name
-                );
-            }
-        }
-        let _ = std::fs::remove_file(&path);
+    let path = temp_file("trunc");
+    write_fixture(&path);
+    let full = std::fs::read(&path).expect("fixture readable");
+    for cut in 0..full.len() {
+        atomic_write(&path, &full[..cut]).expect("truncated write");
+        let verdict = load_artifacts(&path);
+        assert!(verdict.is_damaged(), "cut at {cut}: expected damage, got {verdict:?}");
     }
+    let _ = std::fs::remove_file(&path);
 }
 
-/// Flipping any single byte of a fixture — header, CRC field, or payload —
-/// is detected as typed envelope damage (the tuning-log caveat mirrors the
-/// truncation sweep: a destroyed magic token demotes the file to the legacy
-/// path, which then rejects the garbage line).
+/// Flipping any single byte of the fixture — header, CRC field, or
+/// payload — is detected as typed envelope damage.
 #[test]
 fn flipped_byte_at_every_position_is_detected() {
-    for class in classes() {
-        let path = temp_file(&format!("flip-{}", class.name));
-        (class.write)(&path);
-        let full = std::fs::read(&path).expect("fixture readable");
-        for i in 0..full.len() {
-            let mut bad = full.clone();
-            bad[i] ^= 0xFF;
-            atomic_write(&path, &bad).expect("flipped write");
-            let verdict = (class.load)(&path);
-            if class.name == "tuning-log" && !bad.starts_with(envelope::MAGIC.as_bytes()) {
-                assert_ne!(verdict, Verdict::Loaded, "{} flip at {i} silently loaded garbage", class.name);
-            } else {
-                assert!(verdict.is_damaged(), "{} flip at {i}: expected damage, got {verdict:?}", class.name);
-            }
-        }
-        let _ = std::fs::remove_file(&path);
+    let path = temp_file("flip");
+    write_fixture(&path);
+    let full = std::fs::read(&path).expect("fixture readable");
+    for i in 0..full.len() {
+        let mut bad = full.clone();
+        bad[i] ^= 0xFF;
+        atomic_write(&path, &bad).expect("flipped write");
+        let verdict = load_artifacts(&path);
+        assert!(verdict.is_damaged(), "flip at {i}: expected damage, got {verdict:?}");
     }
+    let _ = std::fs::remove_file(&path);
 }
 
-/// Re-sealing a fixture's payload under a bumped schema version is pure
+/// Re-sealing the fixture's payload under a bumped schema version is pure
 /// schema drift naming both versions — the payload bytes are untouched.
 #[test]
 fn bumped_schema_is_drift_naming_both_versions() {
-    for class in classes() {
-        let path = temp_file(&format!("bump-{}", class.name));
-        (class.write)(&path);
-        let bytes = std::fs::read(&path).expect("fixture readable");
-        let payload = envelope::open(&bytes, class.spec).expect("fixture intact");
-        let bumped = EnvelopeSpec {
-            kind: class.spec.kind,
-            schema: class.spec.schema + 1,
-        };
-        envelope::write_envelope(&path, bumped, payload).expect("bumped write");
-        match (class.load)(&path) {
-            Verdict::Damaged(Integrity::SchemaDrift { found, expected }) => {
-                assert_eq!(found, bumped.label(), "{}", class.name);
-                assert_eq!(expected, class.spec.label(), "{}", class.name);
-            }
-            other => panic!("{}: expected schema drift, got {other:?}", class.name),
+    let path = temp_file("bump");
+    write_fixture(&path);
+    let bytes = std::fs::read(&path).expect("fixture readable");
+    let payload = envelope::open(&bytes, ARTIFACTS_ENVELOPE).expect("fixture intact");
+    let bumped = EnvelopeSpec {
+        schema: ARTIFACTS_ENVELOPE.schema + 1,
+        ..ARTIFACTS_ENVELOPE
+    };
+    envelope::write_envelope(&path, bumped, payload).expect("bumped write");
+    match load_artifacts(&path) {
+        Verdict::Damaged(Integrity::SchemaDrift { found, expected }) => {
+            assert_eq!(found, bumped.label());
+            assert_eq!(expected, ARTIFACTS_ENVELOPE.label());
         }
-        let _ = std::fs::remove_file(&path);
+        other => panic!("expected schema drift, got {other:?}"),
     }
+    let _ = std::fs::remove_file(&path);
 }
 
-/// Sealing one class's payload under another class's kind is drift, not a
-/// decode attempt: a corpus dropped where the spec DB should be never
-/// reaches the decoder.
+/// An envelope of another kind is drift, not a decode attempt: a foreign
+/// file dropped where the bundle should be never reaches the decoder.
 #[test]
 fn wrong_kind_is_drift_not_a_decode() {
     let path = temp_file("cross-kind");
-    envelope::write_envelope(&path, CORPUS_ENVELOPE, b"[]").expect("sealed");
-    for class in classes() {
-        if class.spec.kind == CORPUS_ENVELOPE.kind {
-            continue;
-        }
-        let verdict = (class.load)(&path);
+    for kind in ["corpus", "tuning-log", "calibration", "spec-db"] {
+        envelope::write_envelope(&path, EnvelopeSpec { kind, schema: 1 }, b"[]").expect("sealed");
+        let verdict = load_artifacts(&path);
         assert!(
             matches!(verdict, Verdict::Damaged(Integrity::SchemaDrift { .. })),
-            "{}: expected drift, got {verdict:?}",
-            class.name
+            "{kind}: expected drift, got {verdict:?}"
         );
     }
     let _ = std::fs::remove_file(&path);
@@ -410,17 +273,15 @@ fn malformed_bundle_with_valid_crc_is_rejected_and_tunes_degraded() {
 }
 
 proptest! {
-    /// Arbitrary bytes never panic any loader, and never load as a strict
-    /// enveloped artifact unless they carry the magic token.
+    /// Arbitrary bytes never panic the loader, and never verify unless
+    /// they carry the magic token.
     #[test]
     fn arbitrary_bytes_never_panic_any_loader(bytes in proptest::collection::vec(0u8..=255u8, 0..512)) {
         let path = temp_file("prop-arbitrary");
         atomic_write(&path, &bytes).expect("write");
-        for class in classes() {
-            let verdict = (class.load)(&path);
-            if !bytes.starts_with(envelope::MAGIC.as_bytes()) && class.name != "tuning-log" {
-                prop_assert!(verdict.is_damaged(), "{}: {verdict:?}", class.name);
-            }
+        let verdict = load_artifacts(&path);
+        if !bytes.starts_with(envelope::MAGIC.as_bytes()) {
+            prop_assert!(verdict.is_damaged(), "{verdict:?}");
         }
         prop_assert!(!GlimpseArtifacts::verify(&path).is_intact() || bytes.starts_with(envelope::MAGIC.as_bytes()));
     }
@@ -435,33 +296,19 @@ proptest! {
         payload in proptest::collection::vec(0u8..=255u8, 0..256),
     ) {
         let kinds = ["artifacts", "corpus", "tuning-log", "calibration", "spec-db", "mystery"];
-        let kind = kinds[kind_index];
-        // EnvelopeSpec holds &'static str; build the header by sealing
-        // under a leaked-free static kind from the table above.
-        let spec = EnvelopeSpec { kind, schema };
+        let spec = EnvelopeSpec { kind: kinds[kind_index], schema };
         let path = temp_file("prop-envelope");
         envelope::write_envelope(&path, spec, &payload).expect("sealed");
-        for class in classes() {
-            let verdict = (class.load)(&path);
-            if class.spec.kind != kind || class.spec.schema != schema {
-                prop_assert!(
-                    matches!(verdict, Verdict::Damaged(Integrity::SchemaDrift { .. })),
-                    "{} vs {} v{}: {verdict:?}", class.name, kind, schema
-                );
-            } else {
-                // Matching kind and schema: the payload is garbage, so the
-                // loader may reject it, but the envelope itself verifies.
-                prop_assert!(verdict != Verdict::Loaded || class.name == "tuning-log" || payload_is_benign(&payload, class.name));
-            }
+        let verdict = load_artifacts(&path);
+        if spec != ARTIFACTS_ENVELOPE {
+            prop_assert!(
+                matches!(verdict, Verdict::Damaged(Integrity::SchemaDrift { .. })),
+                "{}: {verdict:?}", spec.label()
+            );
+        } else {
+            // Matching kind and schema: the payload is garbage, so the
+            // loader rejects it, but the envelope itself verifies.
+            prop_assert_eq!(verdict, Verdict::Rejected);
         }
-    }
-}
-
-/// Whether arbitrary payload bytes happen to decode for a class (an empty
-/// JSON list is a valid empty corpus or snapshot, for example).
-fn payload_is_benign(payload: &[u8], class: &str) -> bool {
-    match class {
-        "corpus" | "spec-db" => serde_json::from_str::<serde_json::Value>(&String::from_utf8_lossy(payload)).is_ok(),
-        _ => false,
     }
 }

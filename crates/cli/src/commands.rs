@@ -9,7 +9,7 @@ use glimpse_durable::atomic_write;
 use glimpse_durable::envelope::{self, Integrity};
 use glimpse_gpu_spec::{database, datasheet, GpuSpec};
 use glimpse_mlkit::parallel;
-use glimpse_sim::{DeviceError, DevicePool, DeviceStatus, FaultPlan, Measurer, PoolPolicy};
+use glimpse_sim::{DevicePool, DeviceStatus, FaultPlan, Measurer};
 use glimpse_space::{templates, SearchSpace};
 use glimpse_supervise::{signal, Abandonment, CancelToken, CellReport, CellStatus, DegradationReport, HealthReport, Heartbeat, Watchdog};
 use glimpse_tensor_prog::{models, Task, TemplateKind};
@@ -58,8 +58,6 @@ glimpse — hardware-aware neural compilation (DAC'22 reproduction)
                                     (the run then completes degraded on the
                                     fallback ladders, never aborts)
     --fault-seed <n>                fault stream seed          default: 0
-    --pool-policy <spec>            fleet health thresholds, e.g.
-                                    quarantine=3,probes=5,probe_cost=0.5
     --threads <n>                   search worker threads (0 = auto); also
                                     via GLIMPSE_THREADS       default: auto
     --checkpoint-dir <dir>          journal every trial for crash-safe resume
@@ -240,7 +238,6 @@ fn parse_seconds_flag(flag: &str, value: &str) -> Result<f64, String> {
 struct SharedRunFlags {
     fault_spec: Option<String>,
     fault_seed: Option<String>,
-    pool_policy: Option<String>,
     threads: Option<usize>,
     checkpoint_dir: Option<PathBuf>,
     resume: bool,
@@ -257,7 +254,6 @@ impl SharedRunFlags {
         match arg {
             "--fault-plan" => self.fault_spec = Some(it.next().ok_or("--fault-plan needs a value")?.clone()),
             "--fault-seed" => self.fault_seed = Some(it.next().ok_or("--fault-seed needs a value")?.clone()),
-            "--pool-policy" => self.pool_policy = Some(it.next().ok_or("--pool-policy needs a value")?.clone()),
             "--threads" => self.threads = Some(parse_threads_flag(it.next().ok_or("--threads needs a value")?)?),
             "--checkpoint-dir" => {
                 self.checkpoint_dir = Some(PathBuf::from(it.next().ok_or("--checkpoint-dir needs a value")?));
@@ -281,18 +277,14 @@ impl SharedRunFlags {
         Ok(true)
     }
 
-    /// Validates the flag combination and folds the fault and pool specs
-    /// into one [`FaultPlan`].
+    /// Validates the flag combination and parses the fault spec into a
+    /// [`FaultPlan`].
     fn finish(self) -> Result<RunSettings, String> {
         if self.resume && self.checkpoint_dir.is_none() {
             return Err("--resume requires --checkpoint-dir".into());
         }
-        let mut faults = parse_fault_flags(self.fault_spec.as_deref(), self.fault_seed.as_deref())?;
-        if let Some(spec) = &self.pool_policy {
-            faults = faults.with_pool_policy(PoolPolicy::parse(spec)?);
-        }
         Ok(RunSettings {
-            faults,
+            faults: parse_fault_flags(self.fault_spec.as_deref(), self.fault_seed.as_deref())?,
             threads: self.threads,
             checkpoint_dir: self.checkpoint_dir,
             resume: self.resume,
@@ -356,7 +348,7 @@ impl Supervisor {
 }
 
 /// One degradation-report row for a finished cell.
-fn cell_report(cell: String, device: &str, supervised: &SupervisedOutcome, quarantines: u64) -> CellReport {
+fn cell_report(cell: String, device: &str, supervised: &SupervisedOutcome) -> CellReport {
     CellReport {
         cell,
         device: device.to_owned(),
@@ -364,7 +356,6 @@ fn cell_report(cell: String, device: &str, supervised: &SupervisedOutcome, quara
         measurements: supervised.outcome.measurements,
         faults_absorbed: supervised.outcome.faulted_measurements,
         retries: supervised.outcome.retried_attempts,
-        quarantines,
         gpu_seconds: supervised.outcome.gpu_seconds,
         best_gflops: supervised.outcome.best_gflops,
         deadline_slack_s: supervised.deadline_slack_s,
@@ -382,7 +373,6 @@ fn empty_cell_report(cell: String, device: &str, status: CellStatus) -> CellRepo
         measurements: 0,
         faults_absorbed: 0,
         retries: 0,
-        quarantines: 0,
         gpu_seconds: 0.0,
         best_gflops: 0.0,
         deadline_slack_s: None,
@@ -506,7 +496,7 @@ fn parse_tune_options(args: &[String]) -> Result<TuneOptions, String> {
 /// back, and suppress retraining so the injected damage is what gets loaded.
 fn obtain_artifacts(gpu: &GpuSpec, options: &TuneOptions) -> Result<ResolvedArtifacts, String> {
     if let Some(path) = &options.artifacts_path {
-        let faults = options.run.faults.artifact_faults();
+        let faults = options.run.faults.artifact;
         if faults.any() {
             faults
                 .apply(path)
@@ -597,7 +587,7 @@ pub fn tune(args: &[String]) -> Result<(), String> {
             let cell = root.join(&cell_name);
             let spec = CheckpointSpec::new(&cell)
                 .resuming(options.run.resume)
-                .with_storage(options.run.faults.storage_faults())
+                .with_storage(options.run.faults.storage)
                 .with_faults(options.run.faults.seed, options.run.faults.rates_for(&gpu.name))
                 .with_rungs(&rungs);
             let mut tuner = build_tuner(&options.tuner, artifacts.as_ref(), gpu)?;
@@ -625,7 +615,7 @@ pub fn tune(args: &[String]) -> Result<(), String> {
         if measurer.is_device_dead() {
             eprintln!("device {} died during task {i}; remaining tasks will report no kernels", gpu.name);
         }
-        report.push(cell_report(cell_name, &gpu.name, &supervised, 0));
+        report.push(cell_report(cell_name, &gpu.name, &supervised));
     }
     println!("\ntotal simulated GPU time: {:.1} s ({:.2} h)", total_s, total_s / 3600.0);
     let resume_hint = match &options.run.checkpoint_dir {
@@ -885,7 +875,7 @@ fn run_experiment_cell(
         let cell = root.join(cell_name);
         let spec = CheckpointSpec::new(&cell)
             .resuming(options.run.resume)
-            .with_storage(options.run.faults.storage_faults())
+            .with_storage(options.run.faults.storage)
             .with_faults(options.run.faults.seed, options.run.faults.rates_for(&gpu.name));
         let mut tuner = build_tuner(&options.tuner, None, gpu)?;
         run_supervised(&mut *tuner, &spec, task, space, measurer, budget, seed, &control).map_err(|e| e.to_string())
@@ -958,8 +948,8 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
         if supervisor.interrupt.is_cancelled() {
             break;
         }
-        let orphaned = matches!(&results[index], Err(DeviceError::Dead | DeviceError::Panicked(_)))
-            || matches!(&results[index], Ok(Ok(s)) if s.status == CellStatus::Abandoned(Abandonment::DeviceDead));
+        let orphaned =
+            results[index].is_err() || matches!(&results[index], Ok(Ok(s)) if s.status == CellStatus::Abandoned(Abandonment::DeviceDead));
         if !orphaned {
             continue;
         }
@@ -999,14 +989,13 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
         "{:<18} {:>10} {:>8} {:>9} {:>8} {:>11}  status",
         "device", "GFLOPS", "meas.", "invalid", "faulted", "GPU seconds"
     );
-    let summary = pool.summary();
     let mut report = DegradationReport::new(format!("experiment {} task {}", options.model, options.task));
     for (index, result) in results.iter().enumerate() {
         let name = &fleet[index].name;
         let reassigned_status = moved[index].map(|s| CellStatus::Reassigned { to: fleet[s].name.clone() });
         match result {
             Ok(Ok(supervised)) => {
-                let mut row = cell_report(cell_names[index].clone(), name, supervised, summary.devices[index].quarantines);
+                let mut row = cell_report(cell_names[index].clone(), name, supervised);
                 if let Some(status) = reassigned_status {
                     row.status = status;
                 }
@@ -1023,14 +1012,10 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
             }
             Err(error) => {
                 println!("{name:<18} {error}");
-                let fallback = match error {
-                    DeviceError::Dead | DeviceError::Panicked(_) => CellStatus::Abandoned(Abandonment::DeviceDead),
-                    DeviceError::Quarantined => CellStatus::Abandoned(Abandonment::DeviceUnavailable),
-                };
                 report.push(empty_cell_report(
                     cell_names[index].clone(),
                     name,
-                    reassigned_status.unwrap_or(fallback),
+                    reassigned_status.unwrap_or(CellStatus::Abandoned(Abandonment::DeviceDead)),
                 ));
             }
         }
@@ -1041,12 +1026,7 @@ pub fn experiment(args: &[String]) -> Result<(), String> {
         match outcome {
             Ok(supervised) => {
                 print_experiment_row(survivor_name, supervised);
-                report.push(cell_report(
-                    new_cell,
-                    survivor_name,
-                    supervised,
-                    summary.devices[*survivor].quarantines,
-                ));
+                report.push(cell_report(new_cell, survivor_name, supervised));
             }
             Err(message) => {
                 println!("{survivor_name:<18} reassigned cell failed: {message}");
@@ -1335,8 +1315,6 @@ mod tests {
             "30",
             "--stall-timeout-s",
             "0",
-            "--pool-policy",
-            "quarantine=2,probes=4",
             "--report",
             "/tmp/deg.json",
         ]
@@ -1347,16 +1325,10 @@ mod tests {
         assert_eq!(options.run.deadline_s, Some(1.5));
         assert_eq!(options.run.max_wall_s, Some(30.0));
         assert_eq!(options.run.stall_timeout_s, Some(0.0));
-        assert_eq!(options.run.faults.pool_policy().quarantine_threshold, 2);
-        assert_eq!(options.run.faults.pool_policy().probe_limit, 4);
         assert_eq!(options.run.report, Some(PathBuf::from("/tmp/deg.json")));
-        let exp: Vec<String> = ["m", "--deadline-s", "2", "--pool-policy", "probe_cost=0.25"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
+        let exp: Vec<String> = ["m", "--deadline-s", "2"].iter().map(|s| (*s).to_owned()).collect();
         let options = parse_experiment_options(&exp).unwrap();
         assert_eq!(options.run.deadline_s, Some(2.0));
-        assert!((options.run.faults.pool_policy().probe_cost_s - 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -1365,13 +1337,24 @@ mod tests {
         assert!(parse_tune_options(&bad_deadline).unwrap_err().contains("--deadline-s"));
         let negative: Vec<String> = ["m", "g", "--max-wall-s", "-3"].iter().map(|s| (*s).to_owned()).collect();
         assert!(parse_tune_options(&negative).unwrap_err().contains("--max-wall-s"));
-        let bad_policy: Vec<String> = ["m", "--pool-policy", "quarantine=0"].iter().map(|s| (*s).to_owned()).collect();
-        assert!(parse_experiment_options(&bad_policy).unwrap_err().contains("quarantine"));
+    }
+
+    #[test]
+    fn fleet_health_thresholds_are_not_an_option() {
+        // The pool retires a device on death and has no thresholds to tune.
+        let tune: Vec<String> = ["m", "g", "--pool-policy", "quarantine=3"]
+            .iter()
+            .map(|s| (*s).to_owned())
+            .collect();
+        assert_eq!(parse_tune_options(&tune).unwrap_err(), "unknown option --pool-policy");
+        let exp: Vec<String> = ["m", "--pool-policy", "quarantine=3"].iter().map(|s| (*s).to_owned()).collect();
+        assert_eq!(parse_experiment_options(&exp).unwrap_err(), "unknown option --pool-policy");
+        assert!(!USAGE.contains("--pool-policy"));
     }
 
     #[test]
     fn usage_documents_the_supervision_flags() {
-        for flag in ["--deadline-s", "--max-wall-s", "--stall-timeout-s", "--pool-policy", "--report"] {
+        for flag in ["--deadline-s", "--max-wall-s", "--stall-timeout-s", "--report"] {
             assert!(USAGE.contains(flag), "usage missing {flag}");
         }
         assert!(USAGE.contains("SIGINT"));
@@ -1435,8 +1418,6 @@ mod tests {
             "2",
             "--fault-plan",
             "dead@Titan Xp=1.0",
-            "--pool-policy",
-            "quarantine=1,probes=1",
             "--checkpoint-dir",
         ]
         .iter()

@@ -14,7 +14,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::pool::PoolPolicy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -268,17 +267,10 @@ pub struct FaultPlan {
     /// Per-device overrides keyed by device name.
     #[allow(clippy::disallowed_types, reason = "D2 does not apply: point lookups by device name only")]
     pub per_device: HashMap<String, FaultRates>,
-    /// Storage-layer (journal) fault triggers; `None` means none armed.
-    /// Kept optional so journals written before this field existed still
-    /// deserialize.
-    pub storage: Option<StorageFaults>,
-    /// Pool health-management thresholds; `None` means
-    /// [`PoolPolicy::default`]. Optional for the same backward-compatibility
-    /// reason as `storage`.
-    pub pool: Option<PoolPolicy>,
-    /// Artifact-file fault triggers; `None` means none armed. Optional for
-    /// the same backward-compatibility reason as `storage`.
-    pub artifact: Option<ArtifactFaults>,
+    /// Storage-layer (journal) fault triggers.
+    pub storage: StorageFaults,
+    /// Artifact-file fault triggers.
+    pub artifact: ArtifactFaults,
 }
 
 impl FaultPlan {
@@ -296,42 +288,9 @@ impl FaultPlan {
             seed,
             default_rates: rates,
             per_device: HashMap::new(),
-            storage: None,
-            pool: None,
-            artifact: None,
+            storage: StorageFaults::none(),
+            artifact: ArtifactFaults::none(),
         }
-    }
-
-    /// Artifact-fault triggers in effect (defaults to none armed).
-    #[must_use]
-    pub fn artifact_faults(&self) -> ArtifactFaults {
-        self.artifact.unwrap_or_default()
-    }
-
-    /// Arms the storage-fault triggers (chaos tests; see [`StorageFaults`]).
-    #[must_use]
-    pub fn with_storage_faults(mut self, storage: StorageFaults) -> Self {
-        self.storage = Some(storage);
-        self
-    }
-
-    /// Storage-fault triggers in effect (defaults to none armed).
-    #[must_use]
-    pub fn storage_faults(&self) -> StorageFaults {
-        self.storage.unwrap_or_default()
-    }
-
-    /// Sets the pool health-management thresholds (see [`PoolPolicy`]).
-    #[must_use]
-    pub fn with_pool_policy(mut self, policy: PoolPolicy) -> Self {
-        self.pool = Some(policy);
-        self
-    }
-
-    /// Pool thresholds in effect (defaults to [`PoolPolicy::default`]).
-    #[must_use]
-    pub fn pool_policy(&self) -> PoolPolicy {
-        self.pool.unwrap_or_default()
     }
 
     /// Marks `device` as dead from the first measurement on.
@@ -432,18 +391,16 @@ impl FaultPlan {
             }
         }
         rates.validate()?;
-        let mut plan = Self::uniform(0, rates);
+        let mut plan = Self {
+            storage,
+            artifact,
+            ..Self::uniform(0, rates)
+        };
         for (device, kind, rate) in overrides {
             let mut device_rates = plan.rates_for(&device);
             Self::set_rate(&mut device_rates, &kind, rate)?;
             device_rates.validate()?;
             plan.per_device.insert(device, device_rates);
-        }
-        if storage.any() || storage.torn_keep_bytes.is_some() {
-            plan.storage = Some(storage);
-        }
-        if artifact.any() {
-            plan.artifact = Some(artifact);
         }
         Ok(plan)
     }
@@ -627,17 +584,17 @@ mod tests {
     #[test]
     fn parse_accepts_artifact_triggers() {
         let plan = FaultPlan::parse("artifact_corrupt_at=40,artifact_truncate_at=9").unwrap();
-        let faults = plan.artifact_faults();
+        let faults = plan.artifact;
         assert_eq!(faults.corrupt_at_byte, Some(40));
         assert_eq!(faults.truncate_at_byte, Some(9));
         assert!(!faults.version_bump && !faults.delete);
 
         let plan = FaultPlan::parse("artifact_version_bump=1,artifact_delete=1,timeout=0.1").unwrap();
-        assert!(plan.artifact_faults().version_bump);
-        assert!(plan.artifact_faults().delete);
+        assert!(plan.artifact.version_bump);
+        assert!(plan.artifact.delete);
         assert_eq!(plan.default_rates.timeout, 0.1);
 
-        assert_eq!(FaultPlan::parse("timeout=0.1").unwrap().artifact, None);
+        assert!(!FaultPlan::parse("timeout=0.1").unwrap().artifact.any());
         assert!(FaultPlan::parse("artifact_corrupt_at=soon").is_err());
     }
 
@@ -811,11 +768,14 @@ mod tests {
         let json = serde_json::to_string(&plan).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, plan);
-        let armed = plan.with_storage_faults(StorageFaults {
-            crash_at_seq: Some(12),
-            torn_at_seq: None,
-            torn_keep_bytes: Some(7),
-        });
+        let armed = FaultPlan {
+            storage: StorageFaults {
+                crash_at_seq: Some(12),
+                torn_at_seq: None,
+                torn_keep_bytes: Some(7),
+            },
+            ..plan
+        };
         let json = serde_json::to_string(&armed).unwrap();
         let back: FaultPlan = serde_json::from_str(&json).unwrap();
         assert_eq!(back, armed);
@@ -852,32 +812,15 @@ mod tests {
     }
 
     #[test]
-    fn pool_policy_rides_the_plan() {
-        let plan = FaultPlan::none();
-        assert!(plan.pool.is_none());
-        assert_eq!(plan.pool_policy(), crate::pool::PoolPolicy::default());
-        let custom = crate::pool::PoolPolicy {
-            quarantine_threshold: 1,
-            probe_limit: 2,
-            probe_cost_s: 0.25,
-        };
-        let plan = plan.with_pool_policy(custom);
-        assert_eq!(plan.pool_policy(), custom);
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
-    }
-
-    #[test]
     fn parse_accepts_storage_trigger_keys() {
         let plan = FaultPlan::parse("timeout=0.1,crash_at=12").unwrap();
-        assert_eq!(plan.storage_faults().crash_at_seq, Some(12));
-        assert_eq!(plan.storage_faults().torn_at_seq, None);
+        assert_eq!(plan.storage.crash_at_seq, Some(12));
+        assert_eq!(plan.storage.torn_at_seq, None);
         let plan = FaultPlan::parse("torn_at=5,torn_keep=9").unwrap();
-        assert_eq!(plan.storage_faults().torn_at_seq, Some(5));
-        assert_eq!(plan.storage_faults().torn_keep_bytes, Some(9));
+        assert_eq!(plan.storage.torn_at_seq, Some(5));
+        assert_eq!(plan.storage.torn_keep_bytes, Some(9));
         assert!(FaultPlan::parse("crash_at=soon").is_err());
-        assert!(FaultPlan::parse("").unwrap().storage.is_none());
+        assert_eq!(FaultPlan::parse("").unwrap().storage, StorageFaults::none());
     }
 
     #[test]

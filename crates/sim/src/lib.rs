@@ -46,6 +46,6 @@ pub mod validity;
 pub use fault::{ArtifactFaults, FaultPlan, FaultRates, InjectorState, MeasureFault, StorageFaults};
 pub use measure::{MeasureResult, Measurer, MeasurerState, Outcome};
 pub use model::PerfModel;
-pub use pool::{DeviceError, DevicePool, DeviceStatus, PoolPolicy, PoolSummary};
+pub use pool::{DeviceError, DevicePool, DeviceStatus, PoolSummary};
 pub use retry::{measure_with_retry, RetriedMeasure, RetryPolicy};
 pub use validity::InvalidReason;

@@ -196,8 +196,8 @@ impl Measurer {
         self.injector.as_ref().is_some_and(FaultInjector::is_dead)
     }
 
-    /// Debits simulated GPU seconds outside a measurement (retry backoff,
-    /// probe traffic). Saturates at zero for negative amounts.
+    /// Debits simulated GPU seconds outside a measurement (retry backoff).
+    /// Saturates at zero for negative amounts.
     pub fn charge(&mut self, seconds: f64) {
         self.clock_s += seconds.max(0.0);
     }

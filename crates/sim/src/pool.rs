@@ -7,15 +7,12 @@
 //! totals are per-target sums), while wall-clock time of the *harness*
 //! shrinks with the fleet size.
 //!
-//! Fleets fail, so the pool also tracks health: a device whose jobs keep
-//! coming back all-faulted is **quarantined** after
-//! [`PoolPolicy::quarantine_threshold`] consecutive bad rounds, quarantined
-//! devices are **probed** before each round and re-admitted when the probe
-//! answers, and a device whose worker panics or whose injector declares it
-//! dead is retired permanently. A degraded fleet keeps running on the
-//! survivors; [`DevicePool::summary`] reports who is in what state. The
-//! thresholds are a [`PoolPolicy`] carried on the [`FaultPlan`], so chaos
-//! experiments can tighten or loosen them per campaign.
+//! Fleets fail, so the pool also tracks health. A device whose worker
+//! panics or whose injector declares it dead is retired at once and refuses
+//! every later job. A job whose measurements all faulted leaves a reachable
+//! device serving and only records the failure. A degraded fleet keeps
+//! running on the survivors; [`DevicePool::summary`] reports who is in what
+//! state.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
@@ -23,113 +20,20 @@ use crate::fault::FaultPlan;
 use crate::measure::Measurer;
 use glimpse_gpu_spec::GpuSpec;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-
-/// Health-management knobs of a [`DevicePool`]. Carried on the
-/// [`FaultPlan`] (`--pool-policy` on the CLI); [`PoolPolicy::default`]
-/// reproduces the historical hard-coded behavior.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PoolPolicy {
-    /// Consecutive all-faulted rounds before a device is quarantined.
-    pub quarantine_threshold: u32,
-    /// Failed re-admission probes before a quarantined device is retired.
-    pub probe_limit: u32,
-    /// Simulated seconds one re-admission probe costs.
-    pub probe_cost_s: f64,
-}
-
-impl Default for PoolPolicy {
-    fn default() -> Self {
-        Self {
-            quarantine_threshold: 3,
-            probe_limit: 5,
-            probe_cost_s: 0.5,
-        }
-    }
-}
-
-impl PoolPolicy {
-    /// Parses a CLI spec like `quarantine=3,probes=5,probe_cost=0.5`.
-    /// Omitted keys keep their defaults.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the bad key, value, or range.
-    pub fn parse(spec: &str) -> Result<Self, String> {
-        let mut policy = Self::default();
-        for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad pool policy `{part}`: expected key=value"))?;
-            let key = key.trim();
-            let value = value.trim();
-            match key {
-                "quarantine" | "quarantine_threshold" => {
-                    policy.quarantine_threshold = value
-                        .parse()
-                        .map_err(|_| format!("bad value `{value}` for `{key}`: expected a count"))?;
-                }
-                "probes" | "probe_limit" => {
-                    policy.probe_limit = value
-                        .parse()
-                        .map_err(|_| format!("bad value `{value}` for `{key}`: expected a count"))?;
-                }
-                "probe_cost" | "probe_cost_s" => {
-                    policy.probe_cost_s = value
-                        .parse()
-                        .map_err(|_| format!("bad value `{value}` for `{key}`: expected seconds"))?;
-                }
-                other => {
-                    return Err(format!(
-                        "unknown pool policy key `{other}` (expected quarantine, probes, probe_cost)"
-                    ))
-                }
-            }
-        }
-        policy.validate()?;
-        Ok(policy)
-    }
-
-    /// Checks the thresholds are usable: counts at least 1, probe cost a
-    /// finite non-negative number of seconds.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the offending field.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.quarantine_threshold == 0 {
-            return Err("pool policy `quarantine` must be at least 1".to_string());
-        }
-        if self.probe_limit == 0 {
-            return Err("pool policy `probes` must be at least 1".to_string());
-        }
-        if !self.probe_cost_s.is_finite() || self.probe_cost_s < 0.0 {
-            return Err(format!(
-                "pool policy `probe_cost` must be finite and >= 0, got {}",
-                self.probe_cost_s
-            ));
-        }
-        Ok(())
-    }
-}
 
 /// Lifecycle state of one pooled device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeviceStatus {
     /// Serving jobs.
     Healthy,
-    /// Sidelined after consecutive failures; probed before each round.
-    Quarantined,
-    /// Permanently retired (worker panic, dead injector, or probes
-    /// exhausted). Never probed again.
+    /// Permanently retired (worker panic or dead injector); refuses every
+    /// later job.
     Dead,
 }
 
-/// Why a device produced no result for a round.
+/// Why a device produced no result for a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeviceError {
-    /// The device is quarantined and its probe failed again.
-    Quarantined,
     /// The device is permanently dead.
     Dead,
     /// The worker panicked while running the job; the payload's message.
@@ -139,7 +43,6 @@ pub enum DeviceError {
 impl std::fmt::Display for DeviceError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DeviceError::Quarantined => write!(f, "device quarantined"),
             DeviceError::Dead => write!(f, "device dead"),
             DeviceError::Panicked(msg) => write!(f, "worker panicked: {msg}"),
         }
@@ -149,22 +52,7 @@ impl std::fmt::Display for DeviceError {
 #[derive(Debug, Clone)]
 struct HealthRecord {
     status: DeviceStatus,
-    consecutive_failures: u32,
-    failed_probes: u32,
-    quarantines: u64,
     last_error: Option<String>,
-}
-
-impl HealthRecord {
-    fn new() -> Self {
-        Self {
-            status: DeviceStatus::Healthy,
-            consecutive_failures: 0,
-            failed_probes: 0,
-            quarantines: 0,
-            last_error: None,
-        }
-    }
 }
 
 /// Per-device health and accounting snapshot.
@@ -182,8 +70,6 @@ pub struct DeviceReport {
     pub faults: u64,
     /// Simulated GPU seconds consumed.
     pub gpu_seconds: f64,
-    /// Times this device entered quarantine.
-    pub quarantines: u64,
     /// Most recent failure description, if any.
     pub last_error: Option<String>,
 }
@@ -202,16 +88,6 @@ impl PoolSummary {
         self.devices
             .iter()
             .filter(|d| d.status == DeviceStatus::Healthy)
-            .map(|d| d.name.as_str())
-            .collect()
-    }
-
-    /// Names of quarantined devices.
-    #[must_use]
-    pub fn quarantined(&self) -> Vec<&str> {
-        self.devices
-            .iter()
-            .filter(|d| d.status == DeviceStatus::Quarantined)
             .map(|d| d.name.as_str())
             .collect()
     }
@@ -252,18 +128,12 @@ pub struct DevicePool {
     devices: Vec<Mutex<Measurer>>,
     health: Vec<Mutex<HealthRecord>>,
     names: Vec<String>,
-    policy: PoolPolicy,
 }
 
 impl DevicePool {
-    /// Creates a pool with one measurement channel per GPU. Each device's
-    /// noise stream is derived from `seed` and its index.
-    #[must_use]
-    pub fn new(gpus: &[GpuSpec], seed: u64) -> Self {
-        Self::with_faults(gpus, seed, &FaultPlan::none())
-    }
-
-    /// Creates a pool whose devices inject faults per `plan`.
+    /// Creates a pool with one measurement channel per GPU, injecting
+    /// faults per `plan`. Each device's noise stream is derived from `seed`
+    /// and its index.
     #[must_use]
     pub fn with_faults(gpus: &[GpuSpec], seed: u64, plan: &FaultPlan) -> Self {
         let devices = gpus
@@ -271,32 +141,17 @@ impl DevicePool {
             .enumerate()
             .map(|(i, g)| Mutex::new(Measurer::with_faults(g.clone(), seed.wrapping_add(i as u64 * 0x9E37_79B9), plan)))
             .collect();
-        let health = gpus.iter().map(|_| Mutex::new(HealthRecord::new())).collect();
+        let health = gpus
+            .iter()
+            .map(|_| {
+                Mutex::new(HealthRecord {
+                    status: DeviceStatus::Healthy,
+                    last_error: None,
+                })
+            })
+            .collect();
         let names = gpus.iter().map(|g| g.name.clone()).collect();
-        Self {
-            devices,
-            health,
-            names,
-            policy: plan.pool_policy(),
-        }
-    }
-
-    /// Health-management thresholds in effect for this pool.
-    #[must_use]
-    pub fn policy(&self) -> PoolPolicy {
-        self.policy
-    }
-
-    /// Number of devices.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Whether the pool is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.devices.is_empty()
+        Self { devices, health, names }
     }
 
     /// Device names in index order.
@@ -305,28 +160,26 @@ impl DevicePool {
         &self.names
     }
 
-    /// Runs `job` once per serviceable device, in parallel, returning
-    /// per-device results in device order. `job` gets exclusive access to
-    /// that device's [`Measurer`].
+    /// Runs `job` once per device, in parallel, returning per-device
+    /// results in device order. `job` gets exclusive access to that
+    /// device's [`Measurer`].
     ///
     /// A worker panic is caught and reported as
     /// [`DeviceError::Panicked`] for that device only — the rest of the
-    /// fleet completes normally and the panicking device is retired.
-    /// Quarantined devices are probed first and re-admitted when the probe
-    /// answers; dead devices are skipped outright.
+    /// fleet completes normally and the panicking device is retired. Dead
+    /// devices are skipped outright.
     pub fn run_all<T, F>(&self, job: F) -> Vec<Result<T, DeviceError>>
     where
         T: Send,
         F: Fn(usize, &mut Measurer) -> T + Sync,
     {
         let mut out: Vec<Option<Result<T, DeviceError>>> = (0..self.devices.len()).map(|_| None).collect();
-        let policy = self.policy;
         let result = crossbeam::thread::scope(|scope| {
             for (slot, (index, device)) in out.iter_mut().zip(self.devices.iter().enumerate()) {
                 let job = &job;
                 let health = &self.health[index];
                 scope.spawn(move |_| {
-                    *slot = Some(Self::run_one(job, index, device, health, policy));
+                    *slot = Some(Self::run_one(job, index, device, health));
                 });
             }
         });
@@ -337,7 +190,7 @@ impl DevicePool {
     }
 
     /// Runs `job` on the single device at `index`, with the same admission
-    /// control, probing, and health accounting as [`DevicePool::run_all`].
+    /// control and health accounting as [`DevicePool::run_all`].
     /// This is the reassignment path: a supervisor moving an orphaned cell
     /// onto a surviving device addresses that device directly.
     ///
@@ -348,42 +201,15 @@ impl DevicePool {
     where
         F: Fn(usize, &mut Measurer) -> T + Sync,
     {
-        Self::run_one(&job, index, &self.devices[index], &self.health[index], self.policy)
+        Self::run_one(&job, index, &self.devices[index], &self.health[index])
     }
 
-    fn run_one<T, F>(
-        job: &F,
-        index: usize,
-        device: &Mutex<Measurer>,
-        health: &Mutex<HealthRecord>,
-        policy: PoolPolicy,
-    ) -> Result<T, DeviceError>
+    fn run_one<T, F>(job: &F, index: usize, device: &Mutex<Measurer>, health: &Mutex<HealthRecord>) -> Result<T, DeviceError>
     where
         F: Fn(usize, &mut Measurer) -> T + Sync,
     {
-        // Admission control under the health lock.
-        {
-            let mut record = health.lock();
-            match record.status {
-                DeviceStatus::Dead => return Err(DeviceError::Dead),
-                DeviceStatus::Quarantined => {
-                    let mut measurer = device.lock();
-                    if Self::probe(&mut measurer, policy) {
-                        record.status = DeviceStatus::Healthy;
-                        record.consecutive_failures = 0;
-                        record.failed_probes = 0;
-                    } else {
-                        record.failed_probes += 1;
-                        if record.failed_probes >= policy.probe_limit {
-                            record.status = DeviceStatus::Dead;
-                            record.last_error = Some("probe limit exhausted".to_string());
-                            return Err(DeviceError::Dead);
-                        }
-                        return Err(DeviceError::Quarantined);
-                    }
-                }
-                DeviceStatus::Healthy => {}
-            }
+        if health.lock().status == DeviceStatus::Dead {
+            return Err(DeviceError::Dead);
         }
 
         let mut measurer = device.lock();
@@ -398,24 +224,10 @@ impl DevicePool {
                 drop(measurer);
                 let mut record = health.lock();
                 if device_dead {
-                    // The injector declared permanent death mid-job;
-                    // quarantine rather than retire — the probe path
-                    // confirms it (a dead device fails every probe) and
-                    // retires the device at the probe limit.
-                    record.status = DeviceStatus::Quarantined;
-                    record.quarantines += 1;
-                    record.consecutive_failures = 0;
+                    record.status = DeviceStatus::Dead;
                     record.last_error = Some("device reported dead".to_string());
                 } else if faulted && !served {
-                    record.consecutive_failures += 1;
                     record.last_error = Some("all measurements faulted".to_string());
-                    if record.consecutive_failures >= policy.quarantine_threshold {
-                        record.status = DeviceStatus::Quarantined;
-                        record.quarantines += 1;
-                        record.consecutive_failures = 0;
-                    }
-                } else if served {
-                    record.consecutive_failures = 0;
                 }
                 Ok(value)
             }
@@ -428,13 +240,6 @@ impl DevicePool {
                 Err(DeviceError::Panicked(msg))
             }
         }
-    }
-
-    /// One re-admission probe: charges [`PoolPolicy::probe_cost_s`] and
-    /// asks the device for a sign of life.
-    fn probe(measurer: &mut Measurer, policy: PoolPolicy) -> bool {
-        measurer.charge(policy.probe_cost_s);
-        !measurer.is_device_dead()
     }
 
     /// Current health of one device.
@@ -460,7 +265,6 @@ impl DevicePool {
                     invalid: measurer.invalid_count(),
                     faults: measurer.fault_count(),
                     gpu_seconds: measurer.elapsed_gpu_seconds(),
-                    quarantines: record.quarantines,
                     last_error: record.last_error.clone(),
                 }
             })
@@ -491,7 +295,7 @@ mod tests {
 
     fn pool() -> DevicePool {
         let gpus: Vec<_> = database::evaluation_gpus().into_iter().cloned().collect();
-        DevicePool::new(&gpus, 5)
+        DevicePool::with_faults(&gpus, 5, &FaultPlan::none())
     }
 
     fn space() -> glimpse_space::SearchSpace {
@@ -514,9 +318,8 @@ mod tests {
     #[test]
     fn pool_has_table1_devices() {
         let p = pool();
-        assert_eq!(p.len(), 4);
+        assert_eq!(p.names().len(), 4);
         assert_eq!(p.names()[0], "Titan Xp");
-        assert!(!p.is_empty());
     }
 
     #[test]
@@ -584,7 +387,7 @@ mod tests {
     }
 
     #[test]
-    fn permanently_dead_device_is_quarantined_and_fleet_completes() {
+    fn permanently_dead_device_is_retired_and_fleet_completes() {
         let gpus: Vec<_> = database::evaluation_gpus().into_iter().cloned().collect();
         let dead_name = gpus[1].name.clone();
         let plan = FaultPlan::none().with_dead_device(&dead_name);
@@ -608,9 +411,9 @@ mod tests {
         let summary = p.summary();
         let report = &summary.devices[1];
         assert_eq!(report.name, dead_name);
-        assert_ne!(report.status, DeviceStatus::Healthy, "dead device must leave the healthy set");
-        assert!(report.quarantines >= 1, "death must be visible as a quarantine in the summary");
-        assert!(summary.healthy().len() == 3);
+        assert_eq!(report.status, DeviceStatus::Dead, "a dead injector retires the device at once");
+        assert_eq!(summary.dead(), vec![dead_name.as_str()]);
+        assert_eq!(summary.healthy().len(), 3);
         // Survivors actually measured.
         for (i, d) in summary.devices.iter().enumerate() {
             if i != 1 {
@@ -620,43 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_after_consecutive_faulted_rounds_then_probe_readmission() {
+    fn an_all_faulted_job_leaves_a_reachable_device_serving() {
         let gpus: Vec<_> = database::evaluation_gpus().into_iter().cloned().collect();
-        let flaky = gpus[0].name.clone();
         // launch_failure=1.0: every measurement faults, but the device
-        // itself stays reachable, so the probe re-admits it.
-        let plan = FaultPlan::none().with_device_rates(
-            &flaky,
-            FaultRates {
-                launch_failure: 1.0,
-                ..FaultRates::none()
-            },
-        );
-        let p = DevicePool::with_faults(&gpus, 5, &plan);
-        let space = space();
-        let config = valid_config_for(&gpus[0], &space);
-
-        for _ in 0..p.policy().quarantine_threshold {
-            let results = p.run_all(|_, m| {
-                m.measure(&space, &config);
-            });
-            assert!(results.iter().all(Result::is_ok));
-        }
-        assert_eq!(p.status(0), DeviceStatus::Quarantined);
-        assert!(p.summary().quarantined().contains(&flaky.as_str()));
-
-        // Next round: the probe answers (device is reachable), so the
-        // device is re-admitted and runs the job again.
-        let results = p.run_all(|_, m| {
-            m.measure(&space, &config);
-        });
-        assert!(results[0].is_ok(), "probe should re-admit a reachable device");
-        assert_eq!(p.status(0), DeviceStatus::Healthy);
-    }
-
-    #[test]
-    fn probe_charges_simulated_time() {
-        let gpus: Vec<_> = database::evaluation_gpus().into_iter().cloned().collect();
+        // itself stays reachable.
         let plan = FaultPlan::none().with_device_rates(
             &gpus[0].name,
             FaultRates {
@@ -667,68 +437,22 @@ mod tests {
         let p = DevicePool::with_faults(&gpus, 5, &plan);
         let space = space();
         let config = valid_config_for(&gpus[0], &space);
-        for _ in 0..p.policy().quarantine_threshold {
-            p.run_all(|_, m| {
+        for _ in 0..4 {
+            let results = p.run_all(|_, m| {
                 m.measure(&space, &config);
             });
+            assert!(results.iter().all(Result::is_ok));
+            assert_eq!(p.status(0), DeviceStatus::Healthy);
         }
-        let before = p.summary().devices[0].gpu_seconds;
-        p.run_all(|_, _m| {});
-        let after = p.summary().devices[0].gpu_seconds;
-        assert!(after >= before + p.policy().probe_cost_s - 1e-9, "probe must debit the clock");
+        let report = &p.summary().devices[0];
+        assert_eq!(report.valid, 0);
+        assert_eq!(report.faults, 4);
+        assert_eq!(report.last_error.as_deref(), Some("all measurements faulted"));
+        assert!(p.run_on(0, |_, _m| {}).is_ok(), "a reachable device keeps serving");
     }
 
     #[test]
-    fn policy_parse_accepts_the_documented_grammar() {
-        let policy = PoolPolicy::parse("quarantine=2, probes=7,probe_cost=1.25").unwrap();
-        assert_eq!(policy.quarantine_threshold, 2);
-        assert_eq!(policy.probe_limit, 7);
-        assert_eq!(policy.probe_cost_s, 1.25);
-        // Omitted keys keep their defaults; an empty spec is the default.
-        assert_eq!(PoolPolicy::parse("probes=9").unwrap().quarantine_threshold, 3);
-        assert_eq!(PoolPolicy::parse("").unwrap(), PoolPolicy::default());
-    }
-
-    #[test]
-    fn policy_parse_rejects_bad_specs() {
-        assert!(PoolPolicy::parse("quarantine").is_err());
-        assert!(PoolPolicy::parse("patience=3").is_err());
-        assert!(PoolPolicy::parse("quarantine=0").is_err());
-        assert!(PoolPolicy::parse("probes=0").is_err());
-        assert!(PoolPolicy::parse("probes=many").is_err());
-        assert!(PoolPolicy::parse("probe_cost=-1").is_err());
-        assert!(PoolPolicy::parse("probe_cost=inf").is_err());
-    }
-
-    #[test]
-    fn custom_quarantine_threshold_changes_admission() {
-        let gpus: Vec<_> = database::evaluation_gpus().into_iter().cloned().collect();
-        let flaky = gpus[0].name.clone();
-        let plan = FaultPlan::none()
-            .with_device_rates(
-                &flaky,
-                FaultRates {
-                    launch_failure: 1.0,
-                    ..FaultRates::none()
-                },
-            )
-            .with_pool_policy(PoolPolicy {
-                quarantine_threshold: 1,
-                ..PoolPolicy::default()
-            });
-        let p = DevicePool::with_faults(&gpus, 5, &plan);
-        assert_eq!(p.policy().quarantine_threshold, 1);
-        let space = space();
-        let config = valid_config_for(&gpus[0], &space);
-        // One all-faulted round suffices under threshold 1 (default is 3).
-        p.run_all(|_, m| {
-            m.measure(&space, &config);
-        });
-        assert_eq!(p.status(0), DeviceStatus::Quarantined);
-    }
-
-    #[test]
-    fn run_on_serves_one_device_with_admission_control() {
+    fn run_on_serves_one_device_and_refuses_a_retired_one() {
         let gpus: Vec<_> = database::evaluation_gpus().into_iter().cloned().collect();
         let plan = FaultPlan::none().with_dead_device(&gpus[1].name);
         let p = DevicePool::with_faults(&gpus, 5, &plan);
@@ -746,19 +470,17 @@ mod tests {
             .unwrap();
         assert_eq!(served, 1);
 
-        // A retired device refuses jobs through the same admission gate.
-        let results = p.run_all(|_, m| {
-            let mut rng = StdRng::seed_from_u64(3);
-            let c = space.sample_uniform(&mut rng);
-            m.measure(&space, &c);
+        // The job that finds the device dead still returns; the device
+        // retires and refuses every later job, through either entry point.
+        let first = p.run_on(1, |_, m| {
+            let config = valid_config_for(m.gpu(), &space);
+            m.measure(&space, &config);
         });
-        assert!(results[1].is_ok(), "first round quarantines, not refuses");
-        assert_eq!(p.status(1), DeviceStatus::Quarantined);
-        // Probes keep failing (dead rate 1.0) until the device retires.
-        for _ in 0..p.policy().probe_limit {
-            let _ = p.run_on(1, |_, _m| {});
-        }
+        assert!(first.is_ok(), "the job that meets the death completes");
         assert_eq!(p.status(1), DeviceStatus::Dead);
         assert!(matches!(p.run_on(1, |_, _m| {}), Err(DeviceError::Dead)));
+        let results = p.run_all(|_, _m| {});
+        assert!(matches!(results[1], Err(DeviceError::Dead)));
+        assert!(results[0].is_ok() && results[2].is_ok() && results[3].is_ok());
     }
 }

@@ -3,8 +3,7 @@
 //! A fleet run never "just fails". Each cell lands in exactly one
 //! [`CellStatus`], and the campaign emits a [`DegradationReport`]
 //! (`degradation.json`, written through `glimpse-durable`'s atomic rename)
-//! listing per-cell status, faults absorbed, retries, quarantines, and
-//! deadline slack. Exit code stays 0 for degraded campaigns — the report,
+//! listing per-cell status, faults absorbed, retries, and deadline slack. Exit code stays 0 for degraded campaigns — the report,
 //! not the exit status, is the machine-readable verdict.
 
 use crate::cancel::CancelReason;
@@ -47,7 +46,8 @@ impl From<CancelReason> for Degradation {
 pub enum Abandonment {
     /// The device retired (dead) and no survivor could absorb the cell.
     DeviceDead,
-    /// The device refused admission (quarantined/dead before any trial ran).
+    /// No outcome came back for the cell: its tuner returned an error, or
+    /// the survivor running a reassigned cell failed the job.
     DeviceUnavailable,
 }
 
@@ -70,26 +70,18 @@ pub enum CellStatus {
 }
 
 impl CellStatus {
-    /// Collapses the two ways a cell can end early — a tripped token or a
-    /// dead device — into one status. Cancellation wins because a tripped
-    /// token means the stop was *requested*, not suffered.
-    pub fn settle(reason: Option<CancelReason>, device_dead: bool) -> Self {
+    /// Collapses the ways a cell can end — a tripped token, a dead device,
+    /// or a full budget run on fallback rungs — into one status.
+    /// Precedence: cancellation > device death > component fallback >
+    /// complete. A tripped token means the stop was *requested*, not
+    /// suffered, and a requested stop or a dead device says more about the
+    /// cell than a weakened search strategy.
+    pub fn settle(reason: Option<CancelReason>, device_dead: bool, component_fallback: bool) -> Self {
         match (reason, device_dead) {
             (Some(r), _) => CellStatus::Degraded(r.into()),
             (None, true) => CellStatus::Abandoned(Abandonment::DeviceDead),
+            (None, false) if component_fallback => CellStatus::Degraded(Degradation::ComponentFallback),
             (None, false) => CellStatus::Complete,
-        }
-    }
-
-    /// [`CellStatus::settle`] extended with component health: a cell that
-    /// ran its full budget on fallback rungs settles as
-    /// `Degraded(ComponentFallback)`. Precedence: cancellation > device
-    /// death > component fallback > complete — a requested stop or a dead
-    /// device says more about the cell than a weakened search strategy.
-    pub fn settle_with_health(reason: Option<CancelReason>, device_dead: bool, component_fallback: bool) -> Self {
-        match Self::settle(reason, device_dead) {
-            CellStatus::Complete if component_fallback => CellStatus::Degraded(Degradation::ComponentFallback),
-            settled => settled,
         }
     }
 
@@ -115,8 +107,6 @@ pub struct CellReport {
     pub faults_absorbed: usize,
     /// Extra measurement attempts spent on retries.
     pub retries: usize,
-    /// Quarantine episodes the device went through during the cell.
-    pub quarantines: u64,
     /// Simulated GPU-seconds charged to the cell.
     pub gpu_seconds: f64,
     /// Best throughput found before the cell ended.
@@ -179,7 +169,6 @@ mod tests {
             measurements: 12,
             faults_absorbed: 1,
             retries: 2,
-            quarantines: 0,
             gpu_seconds: 3.5,
             best_gflops: 4200.0,
             deadline_slack_s: Some(1.25),
@@ -190,29 +179,29 @@ mod tests {
     #[test]
     fn settle_prefers_cancellation_over_device_death() {
         assert_eq!(
-            CellStatus::settle(Some(CancelReason::DeadlineExceeded), true),
+            CellStatus::settle(Some(CancelReason::DeadlineExceeded), true, false),
             CellStatus::Degraded(Degradation::DeadlineExceeded)
         );
-        assert_eq!(CellStatus::settle(None, true), CellStatus::Abandoned(Abandonment::DeviceDead));
-        assert_eq!(CellStatus::settle(None, false), CellStatus::Complete);
+        assert_eq!(
+            CellStatus::settle(None, true, false),
+            CellStatus::Abandoned(Abandonment::DeviceDead)
+        );
+        assert_eq!(CellStatus::settle(None, false, false), CellStatus::Complete);
     }
 
     #[test]
     fn component_fallback_only_demotes_completed_cells() {
         assert_eq!(
-            CellStatus::settle_with_health(None, false, true),
+            CellStatus::settle(None, false, true),
             CellStatus::Degraded(Degradation::ComponentFallback)
         );
-        assert_eq!(CellStatus::settle_with_health(None, false, false), CellStatus::Complete);
+        assert_eq!(CellStatus::settle(None, false, false), CellStatus::Complete);
         // A requested stop or dead device outranks a fallback rung.
         assert_eq!(
-            CellStatus::settle_with_health(Some(CancelReason::Interrupted), false, true),
+            CellStatus::settle(Some(CancelReason::Interrupted), false, true),
             CellStatus::Degraded(Degradation::Interrupted)
         );
-        assert_eq!(
-            CellStatus::settle_with_health(None, true, true),
-            CellStatus::Abandoned(Abandonment::DeviceDead)
-        );
+        assert_eq!(CellStatus::settle(None, true, true), CellStatus::Abandoned(Abandonment::DeviceDead));
     }
 
     #[test]
@@ -221,7 +210,7 @@ mod tests {
         let legacy = serde_json::json!({
             "cell": "task0", "device": "Titan Xp", "status": "Complete",
             "measurements": 12, "faults_absorbed": 0, "retries": 0,
-            "quarantines": 0, "gpu_seconds": 1.0, "best_gflops": 100.0,
+            "gpu_seconds": 1.0, "best_gflops": 100.0,
             "deadline_slack_s": null,
         });
         let back: CellReport = serde_json::from_value(&legacy).unwrap();

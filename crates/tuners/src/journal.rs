@@ -552,14 +552,14 @@ pub struct SupervisedOutcome {
 impl SupervisedOutcome {
     /// Settles a run that has just finished under `control`: the token's
     /// reason, a dead device and fallback rungs decide the status (see
-    /// [`CellStatus::settle_with_health`]), and the slack is taken under
-    /// the tightest of the control's deadlines. The one rule both the
+    /// [`CellStatus::settle`]), and the slack is taken under the tightest
+    /// of the control's deadlines. The one rule both the
     /// journaled and the unjournaled paths report through.
     #[must_use]
     pub fn settle(outcome: TuningOutcome, control: &RunControl, device_dead: bool) -> Self {
         let component_fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
         Self {
-            status: CellStatus::settle_with_health(control.cancel.reason(), device_dead, component_fallback),
+            status: CellStatus::settle(control.cancel.reason(), device_dead, component_fallback),
             deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
             outcome,
         }
@@ -645,7 +645,7 @@ pub fn run_supervised<T: Tuner + ?Sized>(
             let fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
             return Ok(SupervisedOutcome {
                 deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
-                status: CellStatus::settle_with_health(None, false, fallback),
+                status: CellStatus::settle(None, false, fallback),
                 outcome,
             });
         }

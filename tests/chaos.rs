@@ -92,9 +92,9 @@ fn check_contract(tuner: &str, outcome: &TuningOutcome) {
     );
     assert_eq!(outcome.measurements, outcome.history.len(), "{tuner}: journal and count disagree");
 
-    // Monotone, consistent GPU-second accounting: every trial costs time,
-    // and the journal never exceeds what the clock recorded (the clock may
-    // also carry non-journaled charges, e.g. probe traffic).
+    // Monotone, consistent GPU-second accounting: every trial costs time
+    // (retry backoff included), and the journal never exceeds what the
+    // clock recorded.
     assert!(
         outcome.gpu_seconds.is_finite() && outcome.gpu_seconds >= 0.0,
         "{tuner}: bad clock {}",
@@ -265,8 +265,7 @@ proptest! {
         }
         let summary = pool.summary();
         // The dead board is reported, the rest of the fleet kept serving.
-        prop_assert!(summary.dead().contains(&"RTX 2070 Super") || summary.quarantined().contains(&"RTX 2070 Super"),
-            "dead device missing from summary: {}", summary);
+        prop_assert!(summary.dead().contains(&"RTX 2070 Super"), "dead device missing from summary: {}", summary);
         let survivors = summary.devices.iter().filter(|d| d.status == DeviceStatus::Healthy && d.valid + d.invalid > 0).count();
         prop_assert!(survivors >= 2, "fleet did not keep serving: {}", summary);
     }

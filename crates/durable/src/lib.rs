@@ -9,8 +9,8 @@
 //! * [`atomic_write`] — temp file + fsync + rename (+ parent-directory
 //!   fsync on Unix), so readers observe either the old bytes or the new
 //!   bytes, never a prefix.
-//! * [`crc32`] — table-driven CRC-32 (IEEE, reflected) for record
-//!   integrity checks.
+//! * [`crc32`] — slicing-by-8 table-driven CRC-32 (IEEE, reflected) for
+//!   record integrity checks.
 //! * [`wal`] — an append-only write-ahead log of length-prefixed,
 //!   checksummed, sequence-numbered frames whose recovery path tolerates a
 //!   truncated tail and a corrupted trailing record (lossy-tail recovery).
@@ -34,11 +34,14 @@ use std::path::Path;
 pub use envelope::{read_envelope, write_envelope, EnvelopeSpec, Integrity};
 pub use wal::{open_for_append, open_for_append_at, recover, scan, Recovery, Tail, WalFrame, WalWriter};
 
-/// CRC-32 lookup table (IEEE 802.3 polynomial, reflected form).
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-8 CRC-32 tables (IEEE 802.3 polynomial, reflected form).
+/// `CRC_TABLES[0]` is the classic bytewise table; `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so one lookup per table folds
+/// eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0usize;
     while i < 256 {
         let mut crc = i as u32;
@@ -47,18 +50,43 @@ const fn build_crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1usize;
+    while k < 8 {
+        let mut i = 0usize;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE) of `bytes` — the checksum carried by every WAL frame.
+/// CRC-32 (IEEE) of `bytes` — the checksum carried by every WAL frame and
+/// artifact envelope. Eight bytes per step (slicing-by-8), then bytewise
+/// over the tail.
 #[must_use]
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(c[4])]
+            ^ t[2][usize::from(c[5])]
+            ^ t[1][usize::from(c[6])]
+            ^ t[0][usize::from(c[7])];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -117,6 +145,41 @@ mod tests {
         // The canonical CRC-32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The one-byte-at-a-time CRC-32 that [`crc32`] must reproduce.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    /// `len` deterministic pseudo-random bytes (xorshift64).
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                (state >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliced_crc32_matches_the_bytewise_reference() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let buf = noise(64 + 8, 0x9E37_79B9_7F4A_7C15);
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &buf[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_bytewise(slice), "offset {offset}, len {len}");
+            }
+        }
+        let big = noise(1 << 20, 42);
+        assert_eq!(crc32(&big), crc32_bytewise(&big));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! thread counts above the core count rely on this).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide worker-count override (0 = unset).
 static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -101,9 +102,14 @@ impl Threads {
 /// The machine's available parallelism (≥ 1): the cap applied to every
 /// auto-resolved worker-count request, and what the bench harness records
 /// as the *effective* count next to the *requested* one.
+///
+/// Read once per process: [`std::thread::available_parallelism`] reads
+/// cgroup files on Linux, tens of microseconds per call, and every SA
+/// fan-out resolves a [`Threads::AUTO`].
 #[must_use]
 pub fn available_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
 }
 
 impl Default for Threads {

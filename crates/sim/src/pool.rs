@@ -82,16 +82,6 @@ pub struct PoolSummary {
 }
 
 impl PoolSummary {
-    /// Names of devices currently able to serve jobs.
-    #[must_use]
-    pub fn healthy(&self) -> Vec<&str> {
-        self.devices
-            .iter()
-            .filter(|d| d.status == DeviceStatus::Healthy)
-            .map(|d| d.name.as_str())
-            .collect()
-    }
-
     /// Names of permanently retired devices.
     #[must_use]
     pub fn dead(&self) -> Vec<&str> {
@@ -152,12 +142,6 @@ impl DevicePool {
             .collect();
         let names = gpus.iter().map(|g| g.name.clone()).collect();
         Self { devices, health, names }
-    }
-
-    /// Device names in index order.
-    #[must_use]
-    pub fn names(&self) -> &[String] {
-        &self.names
     }
 
     /// Runs `job` once per device, in parallel, returning per-device
@@ -317,16 +301,18 @@ mod tests {
 
     #[test]
     fn pool_has_table1_devices() {
-        let p = pool();
-        assert_eq!(p.names().len(), 4);
-        assert_eq!(p.names()[0], "Titan Xp");
+        let summary = pool().summary();
+        assert_eq!(summary.devices.len(), 4);
+        assert_eq!(summary.devices[0].name, "Titan Xp");
+        assert!(summary.devices.iter().all(|d| d.status == DeviceStatus::Healthy));
     }
 
     #[test]
     fn run_all_returns_in_device_order() {
         let p = pool();
         let names: Vec<String> = p.run_all(|_, m| m.gpu().name.clone()).into_iter().map(Result::unwrap).collect();
-        assert_eq!(names, p.names());
+        let expected: Vec<String> = p.summary().devices.into_iter().map(|d| d.name).collect();
+        assert_eq!(names, expected);
     }
 
     #[test]
@@ -383,7 +369,7 @@ mod tests {
         assert!(again[0].is_ok() && again[1].is_ok() && again[3].is_ok());
         let summary = p.summary();
         assert_eq!(summary.dead(), vec!["RTX 2080 Ti"]);
-        assert_eq!(summary.healthy().len(), 3);
+        assert_eq!(summary.devices.iter().filter(|d| d.status == DeviceStatus::Healthy).count(), 3);
     }
 
     #[test]
@@ -413,7 +399,7 @@ mod tests {
         assert_eq!(report.name, dead_name);
         assert_eq!(report.status, DeviceStatus::Dead, "a dead injector retires the device at once");
         assert_eq!(summary.dead(), vec![dead_name.as_str()]);
-        assert_eq!(summary.healthy().len(), 3);
+        assert_eq!(summary.devices.iter().filter(|d| d.status == DeviceStatus::Healthy).count(), 3);
         // Survivors actually measured.
         for (i, d) in summary.devices.iter().enumerate() {
             if i != 1 {

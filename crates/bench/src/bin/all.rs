@@ -10,10 +10,7 @@ fn main() {
         "fig8",
         "fig1",
         "fig4",
-        "fig6",
-        "fig7",
-        "fig9",
-        "table2",
+        "e2e",
         "fig5",
         "ablation",
         "extrapolation",

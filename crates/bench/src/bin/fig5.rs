@@ -2,12 +2,13 @@
 //! AutoTVM with and without transfer learning.
 //!
 //! Every compiler gets 100 simulated GPU seconds per layer. AutoTVM+TL is
-//! warm-started from logs of all other (network, hardware) combinations;
+//! warm-started from logs of all other (network, hardware) combinations,
+//! taken from the AutoTVM runs of the end-to-end grid (`e2e::end_to_end`);
 //! Glimpse's initialization comes from the Blueprint prior instead. Paper:
 //! Glimpse beats both by ~40 % on geomean, and transfer learning is
 //! sometimes *worse* than plain AutoTVM (the 0.83 outlier).
 
-use glimpse_bench::e2e::{autotvm_log_store, ARTIFACT_SEED};
+use glimpse_bench::e2e::{end_to_end, ARTIFACT_SEED};
 use glimpse_bench::experiment::{cached_artifacts, evaluation_grid, run_model, BudgetMode, TunerKind};
 use glimpse_bench::report;
 use glimpse_mlkit::stats::geomean;
@@ -18,7 +19,8 @@ const BUDGET_S: f64 = 100.0;
 
 fn main() {
     let (gpus, models) = evaluation_grid();
-    let donor = autotvm_log_store();
+    let donor = end_to_end().autotvm_logs;
+    let empty = LogStore::new();
     let mode = BudgetMode::GpuSeconds(BUDGET_S);
     let kinds = [TunerKind::AutoTvm, TunerKind::AutoTvmTransfer, TunerKind::Glimpse];
 
@@ -32,8 +34,8 @@ fn main() {
         for model in &models {
             let mut scores = Vec::new();
             for kind in kinds {
-                let transfer: &LogStore = if kind == TunerKind::AutoTvmTransfer { &donor } else { &EMPTY };
-                let result = run_model(kind, gpu, model, Some(&artifacts), transfer, mode, 909);
+                let transfer = if kind == TunerKind::AutoTvmTransfer { &donor } else { &empty };
+                let (result, _) = run_model(kind, gpu, model, Some(&artifacts), transfer, mode, 909);
                 // Output-code quality proxy: geomean over tasks of
                 // best/oracle (robust across layers of different scale).
                 let per_task: Vec<f64> = result.tasks.iter().map(|t| (t.best_gflops / t.oracle_gflops).max(1e-3)).collect();
@@ -67,24 +69,4 @@ fn main() {
     println!("(paper geomeans: TL 1.00, Glimpse 1.40)\n");
     println!("{}", report::table(&["GPU", "model", "AutoTVM", "AutoTVM+TL", "Glimpse"], &rows));
     report::save_json(&glimpse_bench::experiment::results_dir(), "fig5", &payload);
-}
-
-static EMPTY: once_store::Lazy = once_store::Lazy;
-
-/// Tiny zero-dependency lazy empty LogStore (avoids `static` constructor).
-mod once_store {
-    use glimpse_tuners::LogStore;
-    use std::ops::Deref;
-    use std::sync::OnceLock;
-
-    pub struct Lazy;
-
-    impl Deref for Lazy {
-        type Target = LogStore;
-
-        fn deref(&self) -> &LogStore {
-            static CELL: OnceLock<LogStore> = OnceLock::new();
-            CELL.get_or_init(LogStore::new)
-        }
-    }
 }

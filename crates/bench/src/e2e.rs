@@ -1,11 +1,13 @@
-//! The shared end-to-end evaluation run behind Fig. 6, Fig. 7, Fig. 9 and
-//! Table 2: every tuner × model × GPU of Table 1, run-to-quality, with
-//! results cached under `results/`.
+//! The one end-to-end evaluation grid behind Figs. 5, 6, 7, 9 and Table 2:
+//! every tuner × model × GPU of Table 1, AutoTVM at its fixed trial count and
+//! the adaptive tuners until their best-so-far plateaus, cached under
+//! `results/`.
 
-use crate::experiment::{cached_artifacts, evaluation_grid, run_model, run_task, BudgetMode, ModelGpuResult, TunerKind};
+use crate::experiment::{cached_artifacts, evaluation_grid, run_model, BudgetMode, ModelGpuResult, TunerKind};
 use crate::report;
 use glimpse_tuners::LogStore;
 use serde::{Deserialize, Serialize};
+use std::path::Path;
 
 /// Seed for artifact training in all harnesses.
 pub const ARTIFACT_SEED: u64 = 42;
@@ -37,12 +39,15 @@ pub fn mode_for(kind: TunerKind) -> BudgetMode {
     }
 }
 
-/// The full end-to-end result set plus the AutoTVM log store (transfer
-/// donor for Fig. 5).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The full end-to-end grid: one result per (tuner, GPU, model), plus every
+/// AutoTVM tuning history it produced — DGP's same-GPU transfer corpus and
+/// Fig. 5's AutoTVM+TL donor set. Cached as one unit.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EndToEnd {
     /// One entry per (tuner, GPU, model).
     pub results: Vec<ModelGpuResult>,
+    /// AutoTVM's histories, GPU-major then model then task.
+    pub autotvm_logs: LogStore,
 }
 
 impl EndToEnd {
@@ -51,25 +56,35 @@ impl EndToEnd {
     pub fn get(&self, tuner: TunerKind, gpu: &str, model: &str) -> Option<&ModelGpuResult> {
         self.results.iter().find(|r| r.tuner == tuner && r.gpu == gpu && r.model == model)
     }
+
+    /// Loads the grid cached in `dir`; `None` unless the results and their
+    /// AutoTVM logs decode together, so a partial cache is a miss.
+    fn load(dir: &Path) -> Option<Self> {
+        let text = std::fs::read_to_string(dir.join(format!("{}.json", cache_name()))).ok()?;
+        serde_json::from_str(&text).ok()
+    }
+}
+
+fn cache_name() -> String {
+    format!("e2e-{RUN_SEED}")
 }
 
 /// Runs (or loads from cache) the end-to-end grid.
 #[must_use]
 pub fn end_to_end() -> EndToEnd {
     let dir = crate::experiment::results_dir();
-    let path = dir.join(format!("e2e-{RUN_SEED}.json"));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(parsed) = serde_json::from_str::<EndToEnd>(&text) {
-            eprintln!("[glimpse-bench] loaded cached end-to-end results from {}", path.display());
-            return parsed;
-        }
+    if let Some(e2e) = EndToEnd::load(&dir) {
+        eprintln!("[glimpse-bench] loaded the cached end-to-end grid from {}", dir.display());
+        return e2e;
     }
     let (gpus, models) = evaluation_grid();
 
     // One worker per GPU (the paper's RPC fleet); each worker runs AutoTVM
     // first so DGP can transfer from same-GPU logs.
-    let mut per_gpu: Vec<Vec<ModelGpuResult>> = Vec::new();
-    let mut all_logs = LogStore::new();
+    let mut e2e = EndToEnd {
+        results: Vec::new(),
+        autotvm_logs: LogStore::new(),
+    };
     std::thread::scope(|scope| {
         let handles: Vec<_> = gpus
             .iter()
@@ -79,38 +94,14 @@ pub fn end_to_end() -> EndToEnd {
                     let artifacts = cached_artifacts(gpu, ARTIFACT_SEED, None);
                     let mut results = Vec::new();
                     let mut gpu_logs = LogStore::new();
-                    // AutoTVM pass (also the donor corpus for DGP transfer).
-                    for model in models {
-                        let mut tasks = Vec::new();
-                        let mut bests = Vec::new();
-                        for (i, task) in model.tasks().iter().enumerate() {
-                            let (run, outcome) = run_task(
-                                TunerKind::AutoTvm,
-                                gpu,
-                                task,
-                                None,
-                                &LogStore::new(),
-                                mode_for(TunerKind::AutoTvm),
-                                RUN_SEED.wrapping_add(i as u64 * 101),
-                            );
-                            bests.push((task.clone(), run.replayed_gflops));
-                            gpu_logs.push(outcome.history);
-                            tasks.push(run);
-                        }
-                        let latency_ms = crate::experiment::end_to_end_latency_ms(&bests);
-                        results.push(ModelGpuResult {
-                            tuner: TunerKind::AutoTvm,
-                            gpu: gpu.name.clone(),
-                            model: model.name().to_owned(),
-                            tasks,
-                            latency_ms,
-                        });
-                    }
-                    // Remaining tuners.
-                    for kind in [TunerKind::Chameleon, TunerKind::Dgp, TunerKind::Glimpse] {
+                    for kind in TunerKind::END_TO_END {
                         for model in models {
                             eprintln!("[glimpse-bench] {} / {} / {}", kind.label(), gpu.name, model.name());
-                            results.push(run_model(kind, gpu, model, Some(&artifacts), &gpu_logs, mode_for(kind), RUN_SEED));
+                            let (result, histories) = run_model(kind, gpu, model, Some(&artifacts), &gpu_logs, mode_for(kind), RUN_SEED);
+                            if kind == TunerKind::AutoTvm {
+                                histories.into_iter().for_each(|h| gpu_logs.push(h));
+                            }
+                            results.push(result);
                         }
                     }
                     (results, gpu_logs)
@@ -119,71 +110,44 @@ pub fn end_to_end() -> EndToEnd {
             .collect();
         for handle in handles {
             let (results, logs) = handle.join().expect("gpu worker panicked");
-            per_gpu.push(results);
-            for log in logs.logs() {
-                all_logs.push(log.clone());
-            }
+            e2e.results.extend(results);
+            logs.logs().iter().for_each(|h| e2e.autotvm_logs.push(h.clone()));
         }
     });
-    let e2e = EndToEnd {
-        results: per_gpu.into_iter().flatten().collect(),
-    };
-    report::save_json(&dir, &format!("e2e-{RUN_SEED}"), &e2e);
-    // The AutoTVM histories double as the transfer-learning donor corpus
-    // (Fig. 5); persist them so that pass is free.
-    report::save_json(&dir, &format!("autotvm-logs-{RUN_SEED}"), &all_logs);
+    report::save_json(&dir, &cache_name(), &e2e);
     e2e
 }
 
-/// Runs (or loads) an AutoTVM-only pass over the grid and returns its
-/// tuning logs — the transfer donor set for Fig. 5's AutoTVM+TL.
-#[must_use]
-pub fn autotvm_log_store() -> LogStore {
-    let dir = crate::experiment::results_dir();
-    let path = dir.join(format!("autotvm-logs-{RUN_SEED}.json"));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(store) = serde_json::from_str::<LogStore>(&text) {
-            return store;
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use glimpse_tensor_prog::TemplateKind;
+    use glimpse_tuners::TuningHistory;
+
+    #[test]
+    fn a_cache_without_its_autotvm_logs_is_a_miss() {
+        let dir = std::env::temp_dir().join(format!("glimpse-bench-e2e-cache-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut e2e = EndToEnd {
+            results: vec![ModelGpuResult {
+                tuner: TunerKind::AutoTvm,
+                gpu: "Titan Xp".into(),
+                model: "AlexNet".into(),
+                tasks: Vec::new(),
+                latency_ms: 1.5,
+            }],
+            autotvm_logs: LogStore::new(),
+        };
+        e2e.autotvm_logs
+            .push(TuningHistory::new("Titan Xp", "AlexNet", 0, TemplateKind::Conv2dDirect));
+
+        // The grid results next to a separate logs file (not one unit).
+        report::save_json(&dir, &cache_name(), &serde_json::json!({ "results": e2e.results }));
+        report::save_json(&dir, &format!("autotvm-logs-{RUN_SEED}"), &e2e.autotvm_logs);
+        assert_eq!(EndToEnd::load(&dir), None);
+
+        report::save_json(&dir, &cache_name(), &e2e);
+        assert_eq!(EndToEnd::load(&dir), Some(e2e));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    let (gpus, models) = evaluation_grid();
-    let mode = BudgetMode::Converged {
-        window: PLATEAU_WINDOW,
-        epsilon: PLATEAU_EPSILON,
-        cap: MEASUREMENT_CAP,
-    };
-    let mut store = LogStore::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = gpus
-            .iter()
-            .map(|gpu| {
-                let models = &models;
-                scope.spawn(move || {
-                    let mut logs = Vec::new();
-                    for model in models {
-                        for (i, task) in model.tasks().iter().enumerate() {
-                            let (_, outcome) = run_task(
-                                TunerKind::AutoTvm,
-                                gpu,
-                                task,
-                                None,
-                                &LogStore::new(),
-                                mode,
-                                RUN_SEED.wrapping_add(i as u64 * 101),
-                            );
-                            logs.push(outcome.history);
-                        }
-                    }
-                    logs
-                })
-            })
-            .collect();
-        for handle in handles {
-            for log in handle.join().expect("gpu worker panicked") {
-                store.push(log);
-            }
-        }
-    });
-    report::save_json(&dir, &format!("autotvm-logs-{RUN_SEED}"), &store);
-    store
 }

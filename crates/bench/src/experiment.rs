@@ -11,7 +11,7 @@ use glimpse_tuners::autotvm::AutoTvmTuner;
 use glimpse_tuners::chameleon::ChameleonTuner;
 use glimpse_tuners::dgp::DgpTuner;
 use glimpse_tuners::random::RandomTuner;
-use glimpse_tuners::{Budget, LogStore, TuneContext, Tuner, TuningOutcome};
+use glimpse_tuners::{Budget, LogStore, TuneContext, Tuner, TuningHistory, TuningOutcome};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
 
@@ -53,21 +53,14 @@ impl TunerKind {
 /// How the per-task budget is set.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BudgetMode {
-    /// Run until reaching `frac` of the task's oracle-best throughput, with
-    /// a hard measurement cap (run-to-quality, Fig. 6/9/Table 2).
-    ToQuality {
-        /// Fraction of the oracle best to reach.
-        frac: f64,
-        /// Hard cap on measurements.
-        cap: usize,
-    },
     /// Fixed simulated GPU-seconds per task (Fig. 5 gives 100 s/layer).
     GpuSeconds(f64),
-    /// Fixed measurement count per task (Fig. 4 initial-batch probes).
+    /// Fixed measurement count per task: the Fig. 4 initial-batch probes,
+    /// and AutoTVM's fixed trial count in the end-to-end grid.
     Measurements(usize),
     /// Run until the best-so-far plateaus (no `epsilon` relative gain over
-    /// the last `window` measurements), with a hard cap — how each compiler
-    /// self-paces in the end-to-end comparison (Fig. 9, Table 2).
+    /// the last `window` measurements), with a hard cap — how each adaptive
+    /// compiler self-paces in the end-to-end grid (Figs. 6, 7, 9, Table 2).
     Converged {
         /// Plateau window in measurements.
         window: usize,
@@ -207,7 +200,6 @@ pub fn run_task(
     let mut measurer = Measurer::new(gpu.clone(), seed ^ 0x5EED);
     let oracle = measurer.oracle_best(&space, ORACLE_SAMPLES, seed ^ 0x0AC1E).map_or(0.0, |(_, g)| g);
     let budget = match mode {
-        BudgetMode::ToQuality { frac, cap } => Budget::measurements(cap).with_target(frac * oracle),
         BudgetMode::GpuSeconds(s) => Budget::gpu_seconds(s),
         BudgetMode::Measurements(n) => Budget::measurements(n),
         BudgetMode::Converged { window, epsilon, cap } => Budget::measurements(cap).with_plateau(window, epsilon),
@@ -257,7 +249,8 @@ pub fn run_task(
 }
 
 /// Runs one tuner over every task of a model on one GPU and reconstructs
-/// end-to-end latency.
+/// end-to-end latency; also returns each task's tuning history, in task
+/// order.
 #[must_use]
 pub fn run_model(
     kind: TunerKind,
@@ -267,22 +260,25 @@ pub fn run_model(
     transfer: &LogStore,
     mode: BudgetMode,
     seed: u64,
-) -> ModelGpuResult {
+) -> (ModelGpuResult, Vec<TuningHistory>) {
     let mut tasks = Vec::with_capacity(model.tasks().len());
+    let mut histories = Vec::with_capacity(model.tasks().len());
     let mut bests: Vec<(Task, f64)> = Vec::new();
     for (i, task) in model.tasks().iter().enumerate() {
-        let (run, _) = run_task(kind, gpu, task, artifacts, transfer, mode, seed.wrapping_add(i as u64 * 101));
+        let (run, outcome) = run_task(kind, gpu, task, artifacts, transfer, mode, seed.wrapping_add(i as u64 * 101));
         bests.push((task.clone(), run.replayed_gflops));
         tasks.push(run);
+        histories.push(outcome.history);
     }
     let latency_ms = end_to_end_latency_ms(&bests);
-    ModelGpuResult {
+    let result = ModelGpuResult {
         tuner: kind,
         gpu: gpu.name.clone(),
         model: model.name().to_owned(),
         tasks,
         latency_ms,
-    }
+    };
+    (result, histories)
 }
 
 /// Reconstructs end-to-end model latency from per-task best throughputs.
@@ -336,25 +332,6 @@ mod tests {
         assert_eq!(run.measurements, 20);
         assert!(run.oracle_gflops > 0.0);
         assert_eq!(run.trajectory.len(), 20);
-    }
-
-    #[test]
-    fn to_quality_mode_stops_at_target_or_cap() {
-        let gpu = database::find("Titan Xp").unwrap();
-        let model = models::alexnet();
-        let task = &model.tasks()[2];
-        let store = LogStore::new();
-        let (run, _) = run_task(
-            TunerKind::AutoTvm,
-            gpu,
-            task,
-            None,
-            &store,
-            BudgetMode::ToQuality { frac: 0.5, cap: 200 },
-            2,
-        );
-        assert!(run.measurements <= 200);
-        assert!(run.best_gflops >= 0.5 * run.oracle_gflops || run.measurements == 200);
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn main() {
             "round_gpu_ms": round_gpu_s * 1e3,
             "round_ms": round_s * 1e3,
             "overhead_pct": verify_overhead_pct,
-            "criterion": "overhead_pct < 1",
+            "gate": "overhead_pct < 1",
             "pass": verify_overhead_pct < 1.0,
         },
         "rungs": {

@@ -7,10 +7,12 @@
 //! the paper's tables/figures lives in `DESIGN.md`; measured-vs-paper
 //! numbers are recorded in `EXPERIMENTS.md`.
 //!
-//! Criterion benches (`cargo bench -p glimpse-bench`) time the component
-//! hot paths behind the paper's overhead claims: the O(1) sampler vote, the
-//! Blueprint encode, prior sampling, the simulator itself, and the
-//! surrogate/SA machinery.
+//! Two more binaries enforce an overhead gate rather than render a paper
+//! artifact: `--bin checkpoint` (WAL append under 5 % of a round) and
+//! `--bin degradation` (envelope verification under 1 % of a round). Per-layer
+//! host timings (SA, surrogate fit and predict, sampler vote, prior sampling,
+//! the simulator, journal append/snapshot/resume) come from `tunebench`, the
+//! standalone benchmark package at the repository root.
 
 #![forbid(unsafe_code)]
 

@@ -520,66 +520,6 @@ fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>)
     best
 }
 
-/// The split search for one feature over the node `indices`: stable-sorts
-/// the node, then runs the production sweep. Exposed so the
-/// `search_throughput` harness can time it and check it against the
-/// two-pass reference. Not part of the modeling API.
-#[doc(hidden)]
-#[must_use]
-pub fn prefix_sum_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
-    let values: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
-    let mut order: Vec<u32> = indices.iter().map(|&i| u32_index(i)).collect();
-    sort_rows(&values, &mut order);
-    sweep(&values, &order, targets, &mut Vec::new())
-}
-
-/// The original O(n·thresholds) two-pass split search, kept verbatim as the
-/// reference implementation for the equivalence tests and the
-/// `search_throughput` harness's algorithmic-speedup record. Not part of
-/// the modeling API.
-#[doc(hidden)]
-#[must_use]
-pub fn two_pass_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
-    let mut values: Vec<f64> = indices.iter().map(|&i| xs[i][feature]).collect();
-    values.sort_by(|a, b| a.total_cmp(b));
-    values.dedup();
-    if values.len() < 2 {
-        return None;
-    }
-    let n = indices.len();
-    let mean: f64 = indices.iter().map(|&i| targets[i]).sum::<f64>() / n.max(1) as f64;
-    let parent_sse: f64 = indices.iter().map(|&i| (targets[i] - mean).powi(2)).sum();
-    let step = (values.len() / 16).max(1);
-    let mut best: Option<(f64, f64)> = None;
-    for w in values.windows(2).step_by(step) {
-        let threshold = (w[0] + w[1]) / 2.0;
-        let (mut ln, mut ls, mut rn, mut rs) = (0usize, 0.0f64, 0usize, 0.0f64);
-        for &i in indices {
-            if xs[i][feature] <= threshold {
-                ln += 1;
-                ls += targets[i];
-            } else {
-                rn += 1;
-                rs += targets[i];
-            }
-        }
-        if ln == 0 || rn == 0 {
-            continue;
-        }
-        let (lm, rm) = (ls / ln as f64, rs / rn as f64);
-        let mut sse = 0.0;
-        for &i in indices {
-            let m = if xs[i][feature] <= threshold { lm } else { rm };
-            sse += (targets[i] - m).powi(2);
-        }
-        let gain = parent_sse - sse;
-        if best.is_none_or(|(_, g)| gain > g) {
-            best = Some((threshold, gain));
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -593,6 +533,58 @@ mod tests {
         let xs: Vec<Vec<f64>> = (0..n).map(|_| (0..4).map(|_| rng.gen_range(0.0..1.0)).collect()).collect();
         let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x[0] + x[1] * x[2] - 2.0 * (x[3] - 0.5).powi(2)).collect();
         (xs, ys)
+    }
+
+    /// The split search for one feature over the node `indices`: stable-sorts
+    /// the node, then runs the production sweep.
+    fn prefix_sum_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
+        let values: Vec<f64> = xs.iter().map(|x| x[feature]).collect();
+        let mut order: Vec<u32> = indices.iter().map(|&i| u32_index(i)).collect();
+        sort_rows(&values, &mut order);
+        sweep(&values, &order, targets, &mut Vec::new())
+    }
+
+    /// The original O(n·thresholds) two-pass split search, kept verbatim as the
+    /// reference implementation for the equivalence tests.
+    fn two_pass_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
+        let mut values: Vec<f64> = indices.iter().map(|&i| xs[i][feature]).collect();
+        values.sort_by(|a, b| a.total_cmp(b));
+        values.dedup();
+        if values.len() < 2 {
+            return None;
+        }
+        let n = indices.len();
+        let mean: f64 = indices.iter().map(|&i| targets[i]).sum::<f64>() / n.max(1) as f64;
+        let parent_sse: f64 = indices.iter().map(|&i| (targets[i] - mean).powi(2)).sum();
+        let step = (values.len() / 16).max(1);
+        let mut best: Option<(f64, f64)> = None;
+        for w in values.windows(2).step_by(step) {
+            let threshold = (w[0] + w[1]) / 2.0;
+            let (mut ln, mut ls, mut rn, mut rs) = (0usize, 0.0f64, 0usize, 0.0f64);
+            for &i in indices {
+                if xs[i][feature] <= threshold {
+                    ln += 1;
+                    ls += targets[i];
+                } else {
+                    rn += 1;
+                    rs += targets[i];
+                }
+            }
+            if ln == 0 || rn == 0 {
+                continue;
+            }
+            let (lm, rm) = (ls / ln as f64, rs / rn as f64);
+            let mut sse = 0.0;
+            for &i in indices {
+                let m = if xs[i][feature] <= threshold { lm } else { rm };
+                sse += (targets[i] - m).powi(2);
+            }
+            let gain = parent_sse - sse;
+            if best.is_none_or(|(_, g)| gain > g) {
+                best = Some((threshold, gain));
+            }
+        }
+        best
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   fleet resume loads it instead of re-running.
 //!
 //! **Resume is replay, not state surgery.** Tuners are deterministic
-//! functions of `(seed, history)` (PR 2's contract), so
-//! [`run_checkpointed`] does not try to serialize GBT/GP internals.
+//! functions of `(seed, history)` (the replay determinism contract), so
+//! [`run_supervised`] does not try to serialize GBT/GP internals.
 //! It restores the measurer to the header's starting state and re-drives
 //! the tuner; [`TuneContext`] serves the recorded prefix from a replay
 //! queue (verifying the tuner requests the same configurations — any
@@ -159,11 +159,11 @@ pub struct RunHeader {
     /// Fault rates in effect for this device.
     pub fault_rates: FaultRates,
     /// Fallback-ladder fingerprint (`component name` → rung) the run was
-    /// constructed with. Empty in journals written before health tracking
-    /// existed, which reads as "every component on rung 0" — resuming a
-    /// run under a *different* rung set is a header mismatch, because the
-    /// tuner is a deterministic function of (seed, history, rungs).
-    #[serde(default)]
+    /// constructed with. An empty list reads as "every component on rung
+    /// 0"; a header without the field is refused as
+    /// [`JournalError::Corrupt`]. Resuming a run under a *different* rung
+    /// set is a header mismatch, because the tuner is a deterministic
+    /// function of (seed, history, rungs).
     pub rungs: Vec<(String, u8)>,
     /// Measurer state when the run started.
     pub start: MeasurerState,
@@ -566,7 +566,8 @@ impl SupervisedOutcome {
     }
 }
 
-/// Runs `tuner` on one (task, device) cell with crash-safe journaling.
+/// Runs `tuner` on one (task, device) cell with crash-safe journaling,
+/// under supervision.
 ///
 /// Fresh run: writes the header, journals every trial before the tuner
 /// consumes it, snapshots periodically, and writes `complete.json` at the
@@ -577,42 +578,20 @@ impl SupervisedOutcome {
 /// served from a replay queue — continuing live, bit-identically, where
 /// the crash hit.
 ///
-/// Unsupervised convenience wrapper over [`run_supervised`]: no token, no
-/// deadlines. Note a run whose device died mid-cell returns its partial
-/// outcome but does **not** write `complete.json` — the cell stays
-/// resumable, and the fleet supervisor may reassign it to a survivor.
-///
-/// # Errors
-///
-/// Journal IO/recovery errors, [`JournalError::HeaderMismatch`] when the
-/// journal belongs to different run parameters, injected
-/// [`JournalError::SimulatedCrash`]/[`JournalError::TornWrite`] events,
-/// and [`JournalError::ReplayDivergence`] if determinism is broken.
-pub fn run_checkpointed<T: Tuner + ?Sized>(
-    tuner: &mut T,
-    spec: &CheckpointSpec<'_>,
-    task: &Task,
-    space: &SearchSpace,
-    measurer: &mut Measurer,
-    budget: Budget,
-    seed: u64,
-) -> Result<TuningOutcome, JournalError> {
-    run_supervised(tuner, spec, task, space, measurer, budget, seed, &RunControl::none()).map(|s| s.outcome)
-}
-
-/// [`run_checkpointed`] under supervision: the run polls
-/// `control.cancel` at every trial boundary, enforces the control's
-/// simulated-clock deadlines, and settles into a typed [`CellStatus`].
+/// The run polls `control.cancel` at every trial boundary, enforces the
+/// control's simulated-clock deadlines, and settles into a typed
+/// [`CellStatus`]; [`RunControl::none`] runs unsupervised.
 ///
 /// Termination paths, in precedence order:
 ///
 /// 1. journal poison (injected crash/torn write, replay divergence) — a
-///    hard `Err`, exactly as in [`run_checkpointed`];
+///    hard `Err`;
 /// 2. a tripped token — snapshot + WAL fsync are flushed and the cell is
 ///    `Degraded(reason)`; the journal is a byte-identical prefix of the
 ///    uninterrupted run's and `--resume` will finish it;
-/// 3. a dead device — snapshot flushed, `Abandoned(DeviceDead)`; the
-///    fleet supervisor may reassign the cell;
+/// 3. a dead device — snapshot flushed, `Abandoned(DeviceDead)`: the
+///    partial outcome is returned but `complete.json` is not written, so
+///    the fleet supervisor may reassign the cell;
 /// 4. otherwise `complete.json` is written and the cell is `Complete`.
 ///
 /// A cell resumed after completion reports `Complete` with its stored
@@ -620,8 +599,11 @@ pub fn run_checkpointed<T: Tuner + ?Sized>(
 ///
 /// # Errors
 ///
-/// As [`run_checkpointed`].
-#[allow(clippy::too_many_arguments, reason = "mirrors run_checkpointed plus the supervision control")]
+/// Journal IO/recovery errors, [`JournalError::HeaderMismatch`] when the
+/// journal belongs to different run parameters, injected
+/// [`JournalError::SimulatedCrash`]/[`JournalError::TornWrite`] events,
+/// and [`JournalError::ReplayDivergence`] if determinism is broken.
+#[allow(clippy::too_many_arguments, reason = "one cell's full identity plus the supervision control")]
 pub fn run_supervised<T: Tuner + ?Sized>(
     tuner: &mut T,
     spec: &CheckpointSpec<'_>,
@@ -768,9 +750,10 @@ fn verify_header(
 }
 
 /// Whether two ladder fingerprints describe the same resolution. An absent
-/// entry (including the wholly empty fingerprint of a pre-health journal)
-/// reads as rung 0, so old journals resume under healthy artifacts but not
-/// under degraded ones.
+/// entry (including a wholly empty fingerprint) reads as rung 0, so an
+/// empty `rungs` list resumes under healthy artifacts but not under
+/// degraded ones. A header that lacks the field never gets here: it fails
+/// to decode.
 fn rungs_match(journal: &[(String, u8)], run: &[(String, u8)]) -> bool {
     let rung_of = |list: &[(String, u8)], name: &str| list.iter().find(|(n, _)| n == name).map_or(0, |(_, r)| *r);
     journal
@@ -793,10 +776,12 @@ fn format_rungs(rungs: &[(String, u8)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::autotvm::AutoTvmTuner;
     use crate::random::RandomTuner;
     use glimpse_gpu_spec::database;
     use glimpse_sim::FaultPlan;
     use glimpse_space::templates;
+    use glimpse_supervise::{CancelToken, Heartbeat};
     use glimpse_tensor_prog::models;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -830,8 +815,11 @@ mod tests {
         let dir = temp_dir("clean_run");
         let (task, space, plan) = fixture();
         let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let budget = Budget::measurements(20);
         let mut m = measurer(&plan);
-        let outcome = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(20), 3).unwrap();
+        let outcome = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
+            .unwrap()
+            .outcome;
         assert_eq!(outcome.measurements, 20);
         let stored = load_complete(&dir).unwrap().expect("complete.json written");
         assert_eq!(stored, outcome);
@@ -841,9 +829,41 @@ mod tests {
         // Resuming a completed cell returns the stored outcome untouched.
         let spec = spec.resuming(true);
         let mut m2 = measurer(&plan);
-        let again = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m2, Budget::measurements(20), 3).unwrap();
+        let again = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m2, budget, 3, &RunControl::none())
+            .unwrap()
+            .outcome;
         assert_eq!(again, outcome);
         assert_eq!(m2.elapsed_gpu_seconds(), 0.0, "completed cell must not re-measure");
+    }
+
+    #[test]
+    fn journaled_and_supervised_runs_match_a_bare_run() {
+        let (task, space, plan) = fixture();
+        let budget = Budget::measurements(24);
+        let mut m = measurer(&plan);
+        let bare = AutoTvmTuner::new().tune(TuneContext::new(&task, &space, &mut m, budget, 31));
+
+        let dir = temp_dir("bare_vs_journaled");
+        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let control = RunControl::none();
+        let mut m = measurer(&plan);
+        let journaled = run_supervised(&mut AutoTvmTuner::new(), &spec, &task, &space, &mut m, budget, 31, &control).unwrap();
+        assert_eq!(journaled.outcome, bare, "journaling changed the tuning outcome");
+
+        // Armed but idle supervision: a live interrupt token, deadlines far
+        // in the future and a heartbeat, the per-trial checks at their
+        // production shape.
+        let dir = temp_dir("bare_vs_supervised");
+        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let control = RunControl::none()
+            .interrupted_by(CancelToken::new())
+            .heartbeat(Heartbeat::new())
+            .deadline_s(Some(1e12))
+            .wall_deadline_s(Some(1e12));
+        let mut m = measurer(&plan);
+        let supervised = run_supervised(&mut AutoTvmTuner::new(), &spec, &task, &space, &mut m, budget, 31, &control).unwrap();
+        assert_eq!(supervised.status, CellStatus::Complete, "idle supervision must not trip");
+        assert_eq!(supervised.outcome, bare, "supervision changed the tuning outcome");
     }
 
     #[test]
@@ -851,10 +871,11 @@ mod tests {
         let dir = temp_dir("no_clobber");
         let (task, space, plan) = fixture();
         let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let budget = Budget::measurements(5);
         let mut m = measurer(&plan);
-        run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(5), 3).unwrap();
+        run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap();
         let mut m2 = measurer(&plan);
-        let err = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m2, Budget::measurements(5), 3).unwrap_err();
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m2, budget, 3, &RunControl::none()).unwrap_err();
         assert!(matches!(err, JournalError::AlreadyExists(_)), "{err}");
     }
 
@@ -866,7 +887,9 @@ mod tests {
         let baseline_dir = temp_dir("kill_baseline");
         let spec = CheckpointSpec::new(&baseline_dir).with_faults(plan.seed, plan.default_rates);
         let mut m = measurer(&plan);
-        let baseline = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 3).unwrap();
+        let baseline = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
+            .unwrap()
+            .outcome;
         let baseline_wal = std::fs::read(baseline_dir.join(JOURNAL_FILE)).unwrap();
 
         for kill_seq in 1..=12u64 {
@@ -879,12 +902,14 @@ mod tests {
                 .with_faults(plan.seed, plan.default_rates)
                 .with_storage(crash);
             let mut m = measurer(&plan);
-            let err = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 3).unwrap_err();
+            let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
             assert!(matches!(err, JournalError::SimulatedCrash { seq } if seq == kill_seq), "{err}");
 
             let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
             let mut m = measurer(&plan);
-            let resumed = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 3).unwrap();
+            let resumed = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
+                .unwrap()
+                .outcome;
             assert_eq!(resumed, baseline, "kill at seq {kill_seq}");
             let wal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
             assert_eq!(wal, baseline_wal, "journal bytes differ after kill at seq {kill_seq}");
@@ -899,7 +924,7 @@ mod tests {
         let baseline_dir = temp_dir("torn_baseline");
         let spec = CheckpointSpec::new(&baseline_dir).with_faults(plan.seed, plan.default_rates);
         let mut m = measurer(&plan);
-        run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 9).unwrap();
+        run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 9, &RunControl::none()).unwrap();
         let baseline_wal = std::fs::read(baseline_dir.join(JOURNAL_FILE)).unwrap();
 
         let dir = temp_dir("torn_run");
@@ -912,12 +937,12 @@ mod tests {
             .with_faults(plan.seed, plan.default_rates)
             .with_storage(torn);
         let mut m = measurer(&plan);
-        let err = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 9).unwrap_err();
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 9, &RunControl::none()).unwrap_err();
         assert!(matches!(err, JournalError::TornWrite { seq: 4 }), "{err}");
 
         let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
         let mut m = measurer(&plan);
-        run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 9).unwrap();
+        run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 9, &RunControl::none()).unwrap();
         assert_eq!(std::fs::read(dir.join(JOURNAL_FILE)).unwrap(), baseline_wal);
     }
 
@@ -932,16 +957,17 @@ mod tests {
         let spec = CheckpointSpec::new(&dir)
             .with_faults(plan.seed, plan.default_rates)
             .with_storage(crash);
+        let (budget, longer) = (Budget::measurements(10), Budget::measurements(11));
         let mut m = measurer(&plan);
-        let _ = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(10), 3);
+        let _ = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none());
         // Different seed.
         let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
         let mut m = measurer(&plan);
-        let err = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(10), 4).unwrap_err();
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 4, &RunControl::none()).unwrap_err();
         assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
         // Different budget.
         let mut m = measurer(&plan);
-        let err = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(11), 3).unwrap_err();
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, longer, 3, &RunControl::none()).unwrap_err();
         assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
     }
 
@@ -1011,7 +1037,9 @@ mod tests {
         let baseline_dir = temp_dir("cancel_baseline");
         let spec = CheckpointSpec::new(&baseline_dir).with_faults(plan.seed, plan.default_rates);
         let mut m = measurer(&plan);
-        let baseline = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 3).unwrap();
+        let baseline = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
+            .unwrap()
+            .outcome;
         let baseline_wal = std::fs::read(baseline_dir.join(JOURNAL_FILE)).unwrap();
 
         let dir = temp_dir("cancel_run");
@@ -1058,25 +1086,59 @@ mod tests {
             .with_faults(plan.seed, plan.default_rates)
             .with_rungs(&degraded_rungs)
             .with_storage(crash);
+        let budget = Budget::measurements(10);
         let mut m = measurer(&plan);
-        let _ = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(10), 3);
+        let _ = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none());
         // Resuming with healthy artifacts (rung 0 everywhere) must refuse:
         // the journaled prefix was produced by a different strategy.
         let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
         let mut m = measurer(&plan);
-        let err = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(10), 3).unwrap_err();
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
         assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
         // Resuming under the recorded rung set continues fine.
         let spec = spec.with_rungs(&degraded_rungs);
         let mut m = measurer(&plan);
-        let outcome = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(10), 3).unwrap();
+        let outcome = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
+            .unwrap()
+            .outcome;
         assert_eq!(outcome.measurements, 10);
+    }
+
+    #[test]
+    fn header_without_rungs_is_refused_as_corrupt() {
+        let dir = temp_dir("no_rungs");
+        let (task, space, plan) = fixture();
+        let crash = StorageFaults {
+            crash_at_seq: Some(1),
+            ..StorageFaults::none()
+        };
+        let spec = CheckpointSpec::new(&dir)
+            .with_faults(plan.seed, plan.default_rates)
+            .with_storage(crash);
+        let budget = Budget::measurements(5);
+        let mut m = measurer(&plan);
+        let _ = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none());
+        // Rewrite the journal as its header frame with the field dropped.
+        let path = dir.join(JOURNAL_FILE);
+        let frames = glimpse_durable::scan(&std::fs::read(&path).unwrap(), 0).frames;
+        let header = String::from_utf8(frames[0].payload.clone()).unwrap();
+        let stripped = header.replace("\"rungs\":[],", "");
+        assert_ne!(stripped, header, "fixture header carries an empty rung list");
+        std::fs::remove_file(&path).unwrap();
+        let mut writer = glimpse_durable::WalWriter::create(&path).unwrap();
+        writer.append(stripped.as_bytes()).unwrap();
+        writer.sync().unwrap();
+
+        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
+        let mut m = measurer(&plan);
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
+        assert!(matches!(err, JournalError::Corrupt { seq: 0, .. }), "{err}");
     }
 
     #[test]
     fn explicit_rung_zero_fingerprint_matches_a_legacy_empty_header() {
         // A fingerprint that spells out rung 0 for every component is the
-        // same resolution as the empty fingerprint old journals carry.
+        // same resolution as the empty fingerprint.
         let all_zero: Vec<(String, u8)> = vec![("prior".to_owned(), 0), ("cost-model".to_owned(), 0)];
         assert!(rungs_match(&[], &all_zero));
         assert!(rungs_match(&all_zero, &[]));
@@ -1157,8 +1219,11 @@ mod tests {
         // Simulate a crash mid-header append: a few junk bytes, no frame.
         std::fs::write(dir.join(JOURNAL_FILE), b"\x05\x00").unwrap();
         let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
+        let budget = Budget::measurements(5);
         let mut m = measurer(&plan);
-        let outcome = run_checkpointed(&mut RandomTuner::new(), &spec, &task, &space, &mut m, Budget::measurements(5), 3).unwrap();
+        let outcome = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
+            .unwrap()
+            .outcome;
         assert_eq!(outcome.measurements, 5);
     }
 }

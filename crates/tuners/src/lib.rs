@@ -39,4 +39,4 @@ pub use budget::Budget;
 pub use context::{RunControl, TuneContext, Tuner, TuningOutcome};
 pub use feature_cache::{CacheStats, FeatureCache};
 pub use history::{LogStore, Trial, TuningHistory};
-pub use journal::{run_checkpointed, run_supervised, CheckpointSpec, JournalError, RunHeader, RunJournal, SupervisedOutcome, TrialRecord};
+pub use journal::{run_supervised, CheckpointSpec, JournalError, RunHeader, RunJournal, SupervisedOutcome, TrialRecord};

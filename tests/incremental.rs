@@ -28,7 +28,7 @@ use glimpse_repro::tuners::autotvm::AutoTvmTuner;
 use glimpse_repro::tuners::cost_model::{FitKind, GbtCostModel};
 use glimpse_repro::tuners::history::{Trial, TuningHistory};
 use glimpse_repro::tuners::journal::JOURNAL_FILE;
-use glimpse_repro::tuners::{run_checkpointed, Budget, CheckpointSpec, FeatureCache, JournalError, TuningOutcome};
+use glimpse_repro::tuners::{run_supervised, Budget, CheckpointSpec, FeatureCache, JournalError, RunControl, TuningOutcome};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -169,7 +169,7 @@ fn checkpointed_run(dir: &Path, kill: Option<u64>) -> TuningOutcome {
             ..StorageFaults::none()
         };
         let mut m = Measurer::new(database::find("Titan Xp").unwrap().clone(), 7);
-        let err = run_checkpointed(
+        let err = run_supervised(
             &mut AutoTvmTuner::new(),
             &CheckpointSpec::new(dir).resuming(true).with_storage(storage),
             task,
@@ -177,12 +177,13 @@ fn checkpointed_run(dir: &Path, kill: Option<u64>) -> TuningOutcome {
             &mut m,
             Budget::measurements(BUDGET),
             SEED,
+            &RunControl::none(),
         )
         .expect_err("injected crash must surface");
         assert!(matches!(err, JournalError::SimulatedCrash { .. }), "{err}");
     }
     let mut m = Measurer::new(database::find("Titan Xp").unwrap().clone(), 7);
-    run_checkpointed(
+    run_supervised(
         &mut AutoTvmTuner::new(),
         &CheckpointSpec::new(dir).resuming(true),
         task,
@@ -190,8 +191,10 @@ fn checkpointed_run(dir: &Path, kill: Option<u64>) -> TuningOutcome {
         &mut m,
         Budget::measurements(BUDGET),
         SEED,
+        &RunControl::none(),
     )
     .expect("resumed run completes")
+    .outcome
 }
 
 fn resume_is_byte_identical_at(threads: usize, tag: &str) {

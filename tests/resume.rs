@@ -25,7 +25,7 @@ use glimpse_repro::supervise::{CellStatus, Degradation};
 use glimpse_repro::tensor_prog::models;
 use glimpse_repro::tuners::autotvm::AutoTvmTuner;
 use glimpse_repro::tuners::journal::JOURNAL_FILE;
-use glimpse_repro::tuners::{run_checkpointed, run_supervised, Budget, CheckpointSpec, JournalError, RunControl, TuningOutcome};
+use glimpse_repro::tuners::{run_supervised, Budget, CheckpointSpec, JournalError, RunControl, TuningOutcome};
 use std::path::{Path, PathBuf};
 
 const BUDGET: usize = 18;
@@ -69,7 +69,7 @@ fn run_with_kills(dir: &Path, kills: &[u64]) -> TuningOutcome {
             ..StorageFaults::none()
         };
         let mut m = measurer();
-        let err = run_checkpointed(
+        let err = run_supervised(
             &mut AutoTvmTuner::new(),
             &spec(dir).with_storage(storage),
             task,
@@ -77,6 +77,7 @@ fn run_with_kills(dir: &Path, kills: &[u64]) -> TuningOutcome {
             &mut m,
             Budget::measurements(BUDGET),
             SEED,
+            &RunControl::none(),
         )
         .expect_err("injected crash must surface");
         assert!(
@@ -85,7 +86,7 @@ fn run_with_kills(dir: &Path, kills: &[u64]) -> TuningOutcome {
         );
     }
     let mut m = measurer();
-    run_checkpointed(
+    run_supervised(
         &mut AutoTvmTuner::new(),
         &spec(dir),
         task,
@@ -93,8 +94,10 @@ fn run_with_kills(dir: &Path, kills: &[u64]) -> TuningOutcome {
         &mut m,
         Budget::measurements(BUDGET),
         SEED,
+        &RunControl::none(),
     )
     .expect("final resumed run completes")
+    .outcome
 }
 
 fn assert_matches_baseline(dir: &Path, baseline_dir: &Path, outcome: &TuningOutcome, baseline: &TuningOutcome) {
@@ -150,7 +153,7 @@ fn torn_write_resumes_byte_identically() {
         ..StorageFaults::none()
     };
     let mut m = measurer();
-    let err = run_checkpointed(
+    let err = run_supervised(
         &mut AutoTvmTuner::new(),
         &spec(&dir).with_storage(storage),
         task,
@@ -158,6 +161,7 @@ fn torn_write_resumes_byte_identically() {
         &mut m,
         Budget::measurements(BUDGET),
         SEED,
+        &RunControl::none(),
     )
     .expect_err("torn write must surface");
     assert!(matches!(err, JournalError::TornWrite { .. }), "{err}");
@@ -253,7 +257,6 @@ mod degraded {
     use glimpse_repro::core::tuner::{GlimpseConfig, GlimpseTuner};
     use glimpse_repro::gpu_spec::database;
     use glimpse_repro::supervise::{Component, HealthCause};
-    use glimpse_repro::tuners::run_checkpointed;
     use std::sync::OnceLock;
 
     /// One small meta-trained bundle, shared across the sweep (training is
@@ -294,7 +297,7 @@ mod degraded {
             };
             let mut m = measurer();
             let mut tuner = GlimpseTuner::from_resolved(resolved, gpu, GlimpseConfig::default());
-            let err = run_checkpointed(
+            let err = run_supervised(
                 &mut tuner,
                 &spec(dir).with_storage(storage).with_rungs(&rungs),
                 task,
@@ -302,6 +305,7 @@ mod degraded {
                 &mut m,
                 Budget::measurements(BUDGET),
                 SEED,
+                &RunControl::none(),
             )
             .expect_err("injected crash must surface");
             assert!(
@@ -311,7 +315,7 @@ mod degraded {
         }
         let mut m = measurer();
         let mut tuner = GlimpseTuner::from_resolved(resolved, gpu, GlimpseConfig::default());
-        run_checkpointed(
+        run_supervised(
             &mut tuner,
             &spec(dir).with_rungs(&rungs),
             task,
@@ -319,8 +323,10 @@ mod degraded {
             &mut m,
             Budget::measurements(BUDGET),
             SEED,
+            &RunControl::none(),
         )
         .expect("final resumed degraded run completes")
+        .outcome
     }
 
     fn degraded_kill_resume_sweep(threads: usize, component: Option<Component>, tag: &str) {
@@ -389,7 +395,7 @@ mod degraded {
             let rungs = degraded.health.rung_fingerprint();
             let mut m = measurer();
             let mut tuner = GlimpseTuner::from_resolved(&degraded, gpu, GlimpseConfig::default());
-            let err = run_checkpointed(
+            let err = run_supervised(
                 &mut tuner,
                 &spec(&dir).with_storage(storage).with_rungs(&rungs),
                 task,
@@ -397,6 +403,7 @@ mod degraded {
                 &mut m,
                 Budget::measurements(BUDGET),
                 SEED,
+                &RunControl::none(),
             )
             .expect_err("injected crash must surface");
             assert!(matches!(err, JournalError::SimulatedCrash { .. }), "{err}");
@@ -407,7 +414,7 @@ mod degraded {
         let rungs = healthy.health.rung_fingerprint();
         let mut m = measurer();
         let mut tuner = GlimpseTuner::from_resolved(&healthy, gpu, GlimpseConfig::default());
-        let err = run_checkpointed(
+        let err = run_supervised(
             &mut tuner,
             &spec(&dir).with_rungs(&rungs),
             task,
@@ -415,6 +422,7 @@ mod degraded {
             &mut m,
             Budget::measurements(BUDGET),
             SEED,
+            &RunControl::none(),
         )
         .expect_err("rung mismatch must refuse the resume");
         assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");

@@ -6,8 +6,8 @@
 //!   grid search)
 //! * Blueprint dimensionality (ties to Fig. 8)
 //!
-//! A component is switched off the way a fault plan does it: by injecting
-//! its fallback rung into the resolved artifacts.
+//! A component is switched off the way a fault plan does it: by putting it
+//! on its fallback in the resolved artifacts.
 
 use glimpse_bench::e2e::ARTIFACT_SEED;
 use glimpse_bench::experiment::{cached_artifacts, oracle_best_gflops};

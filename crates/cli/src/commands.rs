@@ -18,7 +18,7 @@ use glimpse_tuners::chameleon::ChameleonTuner;
 use glimpse_tuners::dgp::DgpTuner;
 use glimpse_tuners::genetic::GeneticTuner;
 use glimpse_tuners::random::RandomTuner;
-use glimpse_tuners::{run_supervised, Budget, CheckpointSpec, RunControl, SupervisedOutcome, TuneContext, Tuner, TuningOutcome};
+use glimpse_tuners::{run_supervised, Budget, CheckpointSpec, RunControl, SupervisedOutcome, TuneContext, Tuner};
 use std::path::{Path, PathBuf};
 
 /// Usage text for `glimpse help`.
@@ -56,7 +56,7 @@ glimpse — hardware-aware neural compilation (DAC'22 reproduction)
                                     artifact_truncate_at=N,
                                     artifact_version_bump=1, artifact_delete=1
                                     (the run then completes degraded on the
-                                    fallback ladders, never aborts)
+                                    component fallbacks, never aborts)
     --fault-seed <n>                fault stream seed          default: 0
     --threads <n>                   search worker threads (0 = auto); also
                                     via GLIMPSE_THREADS       default: auto
@@ -491,7 +491,7 @@ fn parse_tune_options(args: &[String]) -> Result<TuneOptions, String> {
 
 /// Resolves the Glimpse artifact bundle for a tune run. A damaged, drifted,
 /// or missing bundle never aborts the campaign: the load degrades into a
-/// fallback [`HealthReport`] and the tuner runs its ladders. Armed artifact
+/// fallback [`HealthReport`] and the tuner runs its fallbacks. Armed artifact
 /// faults (chaos testing) are applied to the saved bundle before it is read
 /// back, and suppress retraining so the injected damage is what gets loaded.
 fn obtain_artifacts(gpu: &GpuSpec, options: &TuneOptions) -> Result<ResolvedArtifacts, String> {
@@ -546,10 +546,6 @@ pub fn tune(args: &[String]) -> Result<(), String> {
     } else {
         None
     };
-    // The resolved ladder rungs go into every cell's journal header, so a
-    // --resume under a different degradation state is a typed refusal.
-    let rungs: Vec<(String, u8)> = artifacts.as_ref().map(|r| r.health.rung_fingerprint()).unwrap_or_default();
-
     let tasks: Vec<usize> = match options.task {
         Some(i) if i < model.tasks().len() => vec![i],
         Some(i) => return Err(format!("task {i} out of range (model has {} tasks)", model.tasks().len())),
@@ -583,20 +579,18 @@ pub fn tune(args: &[String]) -> Result<(), String> {
         let mut measurer = Measurer::with_faults(gpu.clone(), 7, &options.run.faults);
         let budget = Budget::measurements(options.budget);
         let control = supervisor.control(&options.run, total_s);
-        let supervised = if let Some(root) = &options.run.checkpoint_dir {
-            let cell = root.join(&cell_name);
-            let spec = CheckpointSpec::new(&cell)
-                .resuming(options.run.resume)
-                .with_storage(options.run.faults.storage)
-                .with_faults(options.run.faults.seed, options.run.faults.rates_for(&gpu.name))
-                .with_rungs(&rungs);
-            let mut tuner = build_tuner(&options.tuner, artifacts.as_ref(), gpu)?;
-            run_supervised(&mut *tuner, &spec, task, &space, &mut measurer, budget, 7, &control).map_err(|e| e.to_string())?
-        } else {
-            let ctx = TuneContext::new(task, &space, &mut measurer, budget, 7).with_control(control.clone());
-            let outcome = run_tuner(&options.tuner, artifacts.as_ref(), gpu, ctx)?;
-            SupervisedOutcome::settle(outcome, &control, measurer.is_device_dead())
-        };
+        let mut tuner = build_tuner(&options.tuner, artifacts.as_ref(), gpu)?;
+        let supervised = run_cell(
+            &mut *tuner,
+            &options.run,
+            &cell_name,
+            task,
+            &space,
+            &mut measurer,
+            budget,
+            7,
+            &control,
+        )?;
         total_s += supervised.outcome.gpu_seconds;
         println!(
             "L{:<4} {:<16} {:>10.0} {:>8} {:>9} {:>8} {:>11.1}  {}",
@@ -653,8 +647,29 @@ fn build_tuner<'a>(tuner: &str, artifacts: Option<&'a ResolvedArtifacts>, gpu: &
     })
 }
 
-fn run_tuner(tuner: &str, artifacts: Option<&ResolvedArtifacts>, gpu: &GpuSpec, ctx: TuneContext<'_>) -> Result<TuningOutcome, String> {
-    Ok(build_tuner(tuner, artifacts, gpu)?.tune(ctx))
+/// Runs one cell and settles it: journaled under
+/// `<checkpoint-dir>/<cell_name>` when the campaign checkpoints, bare
+/// otherwise. Both paths settle through [`SupervisedOutcome::settle`]; the
+/// journal header takes the run's identity from `tuner` and `measurer`.
+#[allow(clippy::too_many_arguments, reason = "one cell's identity plus the campaign settings")]
+fn run_cell(
+    tuner: &mut dyn Tuner,
+    run: &RunSettings,
+    cell_name: &str,
+    task: &Task,
+    space: &SearchSpace,
+    measurer: &mut Measurer,
+    budget: Budget,
+    seed: u64,
+    control: &RunControl,
+) -> Result<SupervisedOutcome, String> {
+    let Some(root) = &run.checkpoint_dir else {
+        let outcome = tuner.tune(TuneContext::new(task, space, measurer, budget, seed).with_control(control.clone()));
+        return Ok(SupervisedOutcome::settle(outcome, control, measurer.is_device_dead()));
+    };
+    let cell = root.join(cell_name);
+    let spec = CheckpointSpec::new(&cell).resuming(run.resume).with_storage(run.faults.storage);
+    run_supervised(tuner, &spec, task, space, measurer, budget, seed, control).map_err(|e| e.to_string())
 }
 
 /// Recursively lists every regular file under `dir`.
@@ -707,21 +722,20 @@ fn diagnose_envelope(path: &Path, bytes: &[u8]) -> (String, Integrity) {
 }
 
 /// Prints the component health table a bundle verdict resolves to, one row
-/// per learned component with its ladder rung and cause.
+/// per learned component with the mode it runs and the cause of a fallback.
 fn print_health_table(verdict: &Integrity) {
     let health = if verdict.is_intact() {
         HealthReport::healthy()
     } else {
         HealthReport::all_degraded(&cause_of(verdict))
     };
-    println!("\n{:<18} {:>4}  {:<26} cause", "component", "rung", "mode");
+    println!("\n{:<18} {:<26} cause", "component", "mode");
     for row in &health.components {
         println!(
-            "{:<18} {:>4}  {:<26} {}",
+            "{:<18} {:<26} {}",
             row.component.name(),
-            row.rung,
-            row.rung_label(),
-            row.health.cause().map_or_else(|| "-".into(), ToString::to_string)
+            row.mode(),
+            row.cause.as_ref().map_or_else(|| "-".into(), ToString::to_string)
         );
     }
 }
@@ -740,6 +754,7 @@ pub fn doctor(args: &[String]) -> Result<(), String> {
     files.sort();
     let mut scanned = 0usize;
     let mut damaged = 0usize;
+    let mut skipped_json = 0usize;
     let mut bundle_verdict: Option<Integrity> = None;
     println!("{:<44} {:<18} verdict", "artifact", "envelope");
     for path in &files {
@@ -759,6 +774,7 @@ pub fn doctor(args: &[String]) -> Result<(), String> {
             }
         };
         if !looks_enveloped(&bytes) {
+            skipped_json += usize::from(path.extension().is_some_and(|ext| ext == "json"));
             continue;
         }
         let (label, verdict) = diagnose_envelope(path, &bytes);
@@ -772,9 +788,6 @@ pub fn doctor(args: &[String]) -> Result<(), String> {
         }
         println!("{:<44} {:<18} {}", shown.display(), label, verdict);
     }
-    if scanned == 0 {
-        println!("(no artifact envelopes found)");
-    }
     if let Some(verdict) = &bundle_verdict {
         print_health_table(verdict);
     }
@@ -784,7 +797,16 @@ pub fn doctor(args: &[String]) -> Result<(), String> {
             root.display()
         ));
     }
-    println!("\ndoctor: all {scanned} artifact(s) intact under {}", root.display());
+    if scanned == 0 {
+        // Unsealed JSON (a raw bundle, a journal's complete.json) carries no
+        // checksum, so there is nothing to verify it against.
+        println!(
+            "\ndoctor: no artifact envelope under {}; nothing verified ({skipped_json} unsealed .json file(s) skipped)",
+            root.display()
+        );
+    } else {
+        println!("\ndoctor: all {scanned} artifact(s) intact under {}", root.display());
+    }
     Ok(())
 }
 
@@ -871,19 +893,8 @@ fn run_experiment_cell(
 ) -> Result<SupervisedOutcome, String> {
     let budget = Budget::measurements(options.budget);
     let control = supervisor.control(&options.run, 0.0);
-    if let Some(root) = &options.run.checkpoint_dir {
-        let cell = root.join(cell_name);
-        let spec = CheckpointSpec::new(&cell)
-            .resuming(options.run.resume)
-            .with_storage(options.run.faults.storage)
-            .with_faults(options.run.faults.seed, options.run.faults.rates_for(&gpu.name));
-        let mut tuner = build_tuner(&options.tuner, None, gpu)?;
-        run_supervised(&mut *tuner, &spec, task, space, measurer, budget, seed, &control).map_err(|e| e.to_string())
-    } else {
-        let ctx = TuneContext::new(task, space, measurer, budget, seed).with_control(control.clone());
-        let outcome = run_tuner(&options.tuner, None, gpu, ctx)?;
-        Ok(SupervisedOutcome::settle(outcome, &control, measurer.is_device_dead()))
-    }
+    let mut tuner = build_tuner(&options.tuner, None, gpu)?;
+    run_cell(&mut *tuner, &options.run, cell_name, task, space, measurer, budget, seed, &control)
 }
 
 /// One result-table row for a fleet cell.
@@ -1254,7 +1265,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let artifacts = dir.join("artifacts.json");
         // artifact_delete arms the chaos path: the bundle counts as lost
-        // (never retrained), every ladder falls to its rung-1 mode, and the
+        // (never retrained), every component runs its fallback, and the
         // cell still completes — degraded, with the components named.
         let base = [
             "alexnet",
@@ -1284,7 +1295,7 @@ mod tests {
         assert!(report.contains("ComponentFallback"), "got: {report}");
         assert!(report.contains("ArtifactMissing"), "got: {report}");
         assert!(report.contains("CostModel"), "got: {report}");
-        // Resuming under the same rung set is accepted and stays complete.
+        // Resuming under the same fallbacks is accepted and stays complete.
         let resume: Vec<String> = args.iter().cloned().chain(["--resume".to_owned()]).collect();
         tune(&resume).unwrap();
         let report = std::fs::read_to_string(dir.join("degradation.json")).unwrap();

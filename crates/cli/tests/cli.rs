@@ -115,3 +115,23 @@ fn unjournaled_tune_past_its_deadline_reports_deadline_exceeded() {
     assert!(json.contains("DeadlineExceeded"), "report: {json}");
     assert!(json.contains("\"deadline_slack_s\": 0.0"), "report: {json}");
 }
+
+#[test]
+fn doctor_over_an_unsealed_bundle_verifies_nothing() {
+    // The committed bench bundles are raw JSON with no envelope: doctor has
+    // no checksum to hold them to and must not call them intact.
+    let dir = std::env::temp_dir().join(format!("glimpse-cli-doctor-unsealed-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let bundle = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/artifacts-RTX_2080_Ti-42-dim2.json");
+    std::fs::copy(bundle, dir.join("artifacts.json")).unwrap();
+    let out = glimpse().arg("doctor").arg(&dir).output().expect("spawn");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(!text.contains("intact"), "stdout: {text}");
+    assert!(
+        text.contains("nothing verified (1 unsealed .json file(s) skipped)"),
+        "stdout: {text}"
+    );
+}

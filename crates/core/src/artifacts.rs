@@ -30,7 +30,7 @@ pub const ARTIFACTS_ENVELOPE: EnvelopeSpec = EnvelopeSpec {
 
 /// Why a persisted artifact bundle failed to load. Total over arbitrary
 /// file contents — loading never panics, and every failure mode maps onto
-/// a fallback-ladder cause.
+/// a fallback cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArtifactLoadError {
     /// The envelope did not verify (missing, truncated, checksum, drift).

@@ -25,7 +25,7 @@ pub struct Blueprint {
 }
 
 impl Blueprint {
-    /// The codec's fallback-ladder bottom: the raw data-sheet feature
+    /// The codec's fallback: the raw data-sheet feature
     /// vector z-scored against the built-in GPU database, with no PCA
     /// projection. Used when the fitted codec artifact is unusable — it
     /// needs no trained state, and is a deterministic function of the spec

@@ -5,8 +5,8 @@
 //! go from an artifacts path to a (possibly degraded) Glimpse tuner input:
 //! it never fails. A clean bundle resolves to all-healthy; a damaged,
 //! missing, or drifted bundle resolves to `artifacts: None` plus a
-//! [`HealthReport`] naming every component's cause and ladder rung. The
-//! mapping from envelope verdicts to [`HealthCause`]s lives here so the
+//! [`HealthReport`] putting every component on its fallback with a cause.
+//! The mapping from envelope verdicts to [`HealthCause`]s lives here so the
 //! durable layer stays free of supervision vocabulary.
 
 use crate::artifacts::{ArtifactLoadError, GlimpseArtifacts};
@@ -14,7 +14,7 @@ use glimpse_durable::envelope::Integrity;
 use glimpse_supervise::health::{Component, HealthCause, HealthReport};
 use std::path::Path;
 
-/// Maps an envelope verdict onto the fallback-ladder cause taxonomy.
+/// Maps an envelope verdict onto the fallback cause taxonomy.
 #[must_use]
 pub fn cause_of(verdict: &Integrity) -> HealthCause {
     match verdict {
@@ -40,12 +40,12 @@ pub fn cause_of(verdict: &Integrity) -> HealthCause {
 pub struct ResolvedArtifacts {
     /// The loaded bundle, `None` when every learned component fell back.
     pub artifacts: Option<GlimpseArtifacts>,
-    /// Per-component health and ladder rungs.
+    /// Per-component health: learned or on its fallback, with the cause.
     pub health: HealthReport,
 }
 
 impl ResolvedArtifacts {
-    /// A usable bundle with every component on rung 0.
+    /// A usable bundle with every component learned.
     #[must_use]
     pub fn healthy(artifacts: GlimpseArtifacts) -> Self {
         Self {
@@ -54,7 +54,7 @@ impl ResolvedArtifacts {
         }
     }
 
-    /// No bundle: every component demoted to its fallback rung for `cause`.
+    /// No bundle: every component on its fallback for `cause`.
     #[must_use]
     pub fn fallback(cause: HealthCause) -> Self {
         Self {
@@ -64,8 +64,8 @@ impl ResolvedArtifacts {
     }
 
     /// Resolves the artifact bundle at `path`, degrading instead of
-    /// failing: a verdict other than intact demotes every learned
-    /// component to rung 1 with the verdict as cause.
+    /// failing: a verdict other than intact puts every learned component
+    /// on its fallback with the verdict as cause.
     #[must_use]
     pub fn load(path: &Path) -> Self {
         match GlimpseArtifacts::load(path) {
@@ -75,19 +75,18 @@ impl ResolvedArtifacts {
         }
     }
 
-    /// Forces `component` onto its fallback rung: the one switch chaos
+    /// Forces `component` onto its fallback: the one switch chaos
     /// testing, the degradation matrix and the component ablations all use
     /// to turn a learned component off. Dependents of the blueprint
     /// codec are demoted with it: without an embedding there is nothing
     /// for the prior, acquisition, or sampler to condition on.
     #[must_use]
     pub fn with_injected(mut self, component: Component) -> Self {
-        self.health.demote(component, 1, HealthCause::Injected);
+        self.health.demote(component, HealthCause::Injected);
         if component == Component::BlueprintCodec {
             for dependent in [Component::Prior, Component::Acquisition, Component::Sampler] {
                 self.health.demote(
                     dependent,
-                    1,
                     HealthCause::DependencyDegraded {
                         dependency: Component::BlueprintCodec.name().into(),
                     },
@@ -131,8 +130,7 @@ mod tests {
         assert!(resolved.artifacts.is_none());
         assert!(resolved.health.any_degraded());
         for row in &resolved.health.components {
-            assert_eq!(row.health.cause(), Some(&HealthCause::ArtifactMissing));
-            assert_eq!(row.rung, 1);
+            assert_eq!(row.cause, Some(HealthCause::ArtifactMissing));
         }
     }
 
@@ -149,8 +147,8 @@ mod tests {
         let resolved = ResolvedArtifacts::load(&path);
         assert!(resolved.artifacts.is_none());
         assert_eq!(
-            resolved.health.get(Component::Prior).unwrap().health.cause(),
-            Some(&HealthCause::ChecksumMismatch)
+            resolved.health.get(Component::Prior).unwrap().cause,
+            Some(HealthCause::ChecksumMismatch)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -159,11 +157,11 @@ mod tests {
     fn injected_codec_degradation_takes_dependents_down() {
         let resolved = ResolvedArtifacts::healthy(small_artifacts()).with_injected(Component::BlueprintCodec);
         let health = &resolved.health;
-        assert_eq!(health.rung(Component::BlueprintCodec), 1);
+        assert!(health.is_fallback(Component::BlueprintCodec));
         for dependent in [Component::Prior, Component::Acquisition, Component::Sampler] {
-            assert_eq!(health.rung(dependent), 1, "{dependent} should follow the codec down");
+            assert!(health.is_fallback(dependent), "{dependent} should follow the codec down");
         }
-        assert_eq!(health.rung(Component::CostModel), 0);
+        assert!(!health.is_fallback(Component::CostModel));
         // The bundle itself is still usable for the surviving components.
         assert!(resolved.artifacts.is_some());
     }

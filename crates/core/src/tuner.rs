@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Each contribution is switched off by putting its component on its
-//! fallback rung ([`ResolvedArtifacts::with_injected`]): the ablation
+//! fallback ([`ResolvedArtifacts::with_injected`]): the ablation
 //! harness and the degradation matrix share that one mechanism.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
@@ -66,11 +66,11 @@ impl Default for GlimpseConfig {
 /// The Glimpse tuner for one target GPU.
 ///
 /// Always runnable: built from intact artifacts it runs every learned
-/// component on rung 0; built via [`GlimpseTuner::from_resolved`] over a
-/// damaged or missing bundle it walks each component down its fallback
-/// ladder (uniform initial sampling, plain SA energy, validity-check-only
+/// component; built via [`GlimpseTuner::from_resolved`] over a damaged or
+/// missing bundle it puts each affected component on its fallback
+/// (uniform initial sampling, plain SA energy, validity-check-only
 /// sampling, rank-by-measured-history cost model) and records why in its
-/// [`HealthReport`]. Every rung is a deterministic function of
+/// [`HealthReport`]. Every fallback is a deterministic function of
 /// (seed, history), preserving the byte-identical-resume contract.
 #[derive(Debug, Clone)]
 pub struct GlimpseTuner<'a> {
@@ -95,27 +95,27 @@ impl<'a> GlimpseTuner<'a> {
     }
 
     /// Builds the tuner from a (possibly degraded) artifact resolution;
-    /// each component runs the rung the resolution settled on.
+    /// each component runs the mode the resolution settled on.
     #[must_use]
     pub fn from_resolved(resolved: &'a ResolvedArtifacts, target: &GpuSpec, config: GlimpseConfig) -> Self {
         Self::build(resolved.artifacts.as_ref(), resolved.health.clone(), target, config)
     }
 
     fn build(artifacts: Option<&'a GlimpseArtifacts>, mut health: HealthReport, target: &GpuSpec, config: GlimpseConfig) -> Self {
-        // A resolution claiming rung 0 without a bundle to back it cannot
-        // be honored — demote everything rather than panic.
+        // A resolution claiming learned components without a bundle to
+        // back them cannot be honored — demote everything rather than panic.
         if artifacts.is_none() && !health.any_degraded() {
             health = HealthReport::all_degraded(&HealthCause::ArtifactMissing);
         }
-        let codec_healthy = health.rung(Component::BlueprintCodec) == 0;
+        let codec_healthy = !health.is_fallback(Component::BlueprintCodec);
         let blueprint = match artifacts {
             Some(artifacts) if codec_healthy => artifacts.encode(target),
             _ => Blueprint::raw_normalized(target),
         };
         // The threshold ensemble is generated from the codec's decode path,
-        // so it needs both its own rung 0 and a healthy codec.
+        // so it needs both to be learned itself and a healthy codec.
         let sampler = match artifacts {
-            Some(artifacts) if codec_healthy && health.rung(Component::Sampler) == 0 => Some(EnsembleSampler::from_blueprint(
+            Some(artifacts) if codec_healthy && !health.is_fallback(Component::Sampler) => Some(EnsembleSampler::from_blueprint(
                 &artifacts.codec,
                 &blueprint,
                 config.ensemble_members,
@@ -139,25 +139,19 @@ impl<'a> GlimpseTuner<'a> {
     }
 
     /// The generated sampler ensemble (`None` when the sampler or codec is
-    /// off rung 0: the simulator's validity check is the only guard).
+    /// on its fallback: the simulator's validity check is the only guard).
     #[must_use]
     pub fn sampler(&self) -> Option<&EnsembleSampler> {
         self.sampler.as_ref()
     }
 
-    /// The component-health resolution this tuner runs under.
-    #[must_use]
-    pub fn health(&self) -> &HealthReport {
-        &self.health
-    }
-
-    /// Whether the prior net is usable on this run (rung 0 + bundle).
+    /// Whether the prior net is usable on this run (learned + bundle).
     fn prior_available(&self) -> bool {
-        self.artifacts.is_some() && self.health.rung(Component::Prior) == 0
+        self.artifacts.is_some() && !self.health.is_fallback(Component::Prior)
     }
 }
 
-/// Rank-by-measured-history energy: the cost-model ladder bottom. Scores
+/// Rank-by-measured-history energy: the cost model's fallback. Scores
 /// a measured configuration by its normalized throughput and an unmeasured
 /// one at zero, so annealing climbs toward (and explores around) the best
 /// regions evidence already supports — a deterministic function of the
@@ -172,6 +166,11 @@ impl Tuner for GlimpseTuner<'_> {
         "Glimpse"
     }
 
+    /// The component-health resolution this tuner runs under.
+    fn health(&self) -> Option<&HealthReport> {
+        Some(&self.health)
+    }
+
     fn tune(&mut self, mut ctx: TuneContext<'_>) -> TuningOutcome {
         let mut rng = child_rng(ctx.seed, 0x0911_A95E);
         let template = ctx.space.template();
@@ -184,7 +183,7 @@ impl Tuner for GlimpseTuner<'_> {
                 Ok(_) => Some(p),
                 Err(err) => {
                     self.health
-                        .demote(Component::Prior, 1, HealthCause::ValidationFailed { detail: err.to_string() });
+                        .demote(Component::Prior, HealthCause::ValidationFailed { detail: err.to_string() });
                     None
                 }
             },
@@ -192,7 +191,7 @@ impl Tuner for GlimpseTuner<'_> {
         };
         let acquisition = self
             .artifacts
-            .filter(|_| self.health.rung(Component::Acquisition) == 0)
+            .filter(|_| !self.health.is_fallback(Component::Acquisition))
             .map(|a| a.acquisition(template));
         let sampler = self.sampler.as_ref();
 
@@ -226,9 +225,10 @@ impl Tuner for GlimpseTuner<'_> {
         };
         ctx.measure_batch(&initial);
 
-        // Cost-model ladder: rung 0 trains the GBT surrogate online; rung 1
-        // ranks by measured history only (nothing trained, nothing to lose).
-        let mut model = (self.health.rung(Component::CostModel) == 0).then(|| GbtCostModel::new(ctx.seed ^ 0x91));
+        // Cost model: learned, it trains the GBT surrogate online; on its
+        // fallback it ranks by measured history only (nothing trained,
+        // nothing to lose).
+        let mut model = (!self.health.is_fallback(Component::CostModel)).then(|| GbtCostModel::new(ctx.seed ^ 0x91));
         // A cancelled SA round is discarded whole, so supervision never
         // perturbs the journal.
         let cancel = ctx.cancel_token();
@@ -445,7 +445,7 @@ mod tests {
         let tuner = GlimpseTuner::new(artifacts(), target);
         assert_eq!(tuner.blueprint().len(), artifacts().blueprint_dim());
         assert_eq!(tuner.sampler().expect("healthy run builds the ensemble").len(), DEFAULT_MEMBERS);
-        assert!(!tuner.health().any_degraded());
+        assert!(!tuner.health().is_some_and(HealthReport::any_degraded));
     }
 
     fn run_resolved(resolved: &crate::health::ResolvedArtifacts, budget: usize, seed: u64) -> TuningOutcome {
@@ -466,7 +466,7 @@ mod tests {
         assert_eq!(outcome.tuner, "Glimpse");
         assert_eq!(outcome.measurements, 48, "degraded runs consume the full budget");
         assert!(outcome.best_gflops > 0.0);
-        assert!(outcome.surrogate.is_none(), "rung-1 cost model trains no surrogate");
+        assert!(outcome.surrogate.is_none(), "the cost-model fallback trains no surrogate");
         let health = outcome.health.expect("health is always attached");
         assert!(health.any_degraded());
         assert_eq!(health.degraded_names().len(), 5);
@@ -479,7 +479,7 @@ mod tests {
             let resolved = crate::health::ResolvedArtifacts::fallback(cause);
             let a = run_resolved(&resolved, 32, 6);
             let b = run_resolved(&resolved, 32, 6);
-            assert_eq!(a, b, "same seed + same rungs must reproduce bit-identically");
+            assert_eq!(a, b, "same seed + same fallbacks must reproduce bit-identically");
         }
     }
 
@@ -494,7 +494,7 @@ mod tests {
         assert_eq!(health.degraded_names(), vec!["cost-model"]);
 
         // Prior and acquisition injections (the component ablations) fall
-        // back on their own ladder and keep the surrogate.
+        // back on their own and keep the surrogate.
         for component in [Component::Prior, Component::Acquisition] {
             let resolved = crate::health::ResolvedArtifacts::healthy(artifacts().clone()).with_injected(component);
             let outcome = run_resolved(&resolved, 32, 7);
@@ -509,7 +509,7 @@ mod tests {
         let target = database::find("RTX 2080 Ti").unwrap();
         let tuner = GlimpseTuner::from_resolved(&resolved, target, GlimpseConfig::default());
         assert!(tuner.sampler().is_none());
-        assert_eq!(tuner.blueprint().len(), artifacts().blueprint_dim(), "codec stays on rung 0");
+        assert_eq!(tuner.blueprint().len(), artifacts().blueprint_dim(), "codec stays learned");
     }
 
     #[test]
@@ -521,7 +521,7 @@ mod tests {
         assert_eq!(
             tuner.blueprint().len(),
             glimpse_gpu_spec::features::FEATURE_COUNT,
-            "ladder bottom embeds the full feature width"
+            "the codec fallback embeds the full feature width"
         );
         assert!(tuner.sampler().is_none(), "the ensemble needs a healthy codec");
     }

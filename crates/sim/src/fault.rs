@@ -179,7 +179,7 @@ impl StorageFaults {
 
 /// Artifact-file fault injection for the degraded-mode chaos tier: damage
 /// the saved artifact bundle *before* a run loads it, so tests can assert
-/// the run completes on a fallback ladder rung instead of aborting. Like
+/// the run completes on a fallback instead of aborting. Like
 /// [`StorageFaults`] these are deterministic triggers, not probabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ArtifactFaults {
@@ -448,6 +448,7 @@ pub struct InjectorState {
 /// The deterministic per-device fault stream derived from a [`FaultPlan`].
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
+    seed: u64,
     rates: FaultRates,
     rng: StdRng,
     dead: bool,
@@ -466,12 +467,20 @@ impl FaultInjector {
             hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
         }
         Self {
+            seed: plan.seed,
             rates: plan.rates_for(device),
             rng: StdRng::seed_from_u64(plan.seed ^ hash),
             dead: false,
             lost_remaining: 0,
             injected: 0,
         }
+    }
+
+    /// The plan seed and this device's rates: what the stream is built
+    /// from.
+    #[must_use]
+    pub fn identity(&self) -> (u64, FaultRates) {
+        (self.seed, self.rates)
     }
 
     /// Whether the device has died permanently.

@@ -8,7 +8,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]
 
-use crate::fault::{FaultEvent, FaultInjector, FaultPlan, InjectorState, MeasureFault};
+use crate::fault::{FaultEvent, FaultInjector, FaultPlan, FaultRates, InjectorState, MeasureFault};
 use crate::model::PerfModel;
 use crate::validity::{self, InvalidReason};
 use glimpse_gpu_spec::GpuSpec;
@@ -152,6 +152,13 @@ impl Measurer {
     pub fn set_fault_plan(&mut self, plan: &FaultPlan) {
         let name = self.gpu().name.clone();
         self.injector = plan.rates_for(&name).any().then(|| FaultInjector::for_device(plan, &name));
+    }
+
+    /// The fault plan seed and this device's fault rates, when the channel
+    /// injects faults; `None` for a clean channel.
+    #[must_use]
+    pub fn faults(&self) -> Option<(u64, FaultRates)> {
+        self.injector.as_ref().map(FaultInjector::identity)
     }
 
     /// The underlying noise-free model.

@@ -1,13 +1,13 @@
-//! Component health and fallback ladders: how a tuning run degrades
-//! component-by-component instead of aborting.
+//! Component health: how a tuning run degrades component-by-component
+//! instead of aborting.
 //!
 //! Glimpse is structurally AutoTVM plus learned hardware-aware components
 //! (blueprint PCA codec, prior `H`, meta-acquisition, threshold-ensemble
-//! sampler, GBT cost model). Every learned component has a well-defined
-//! non-learned fallback, so a corrupt, missing, or drifted artifact demotes
-//! that one component down its *ladder* rather than killing the run:
+//! sampler, GBT cost model). Every learned component has one
+//! non-learned fallback, so a corrupt, missing, or drifted artifact puts
+//! that one component on its fallback rather than killing the run:
 //!
-//! | component        | rung 0 (learned)       | rung 1 (fallback)          |
+//! | component        | learned                | fallback                   |
 //! |------------------|------------------------|----------------------------|
 //! | `BlueprintCodec` | blueprint PCA          | raw normalized datasheet   |
 //! | `Prior`          | prior-net `H` sampling | uniform initial sampling   |
@@ -15,12 +15,12 @@
 //! | `Sampler`        | threshold ensemble     | simulator validity check   |
 //! | `CostModel`      | GBT surrogate          | rank-by-measured-history   |
 //!
-//! Ladders are resolved once, at run construction, and the chosen rung per
-//! component is recorded in the run's `RunHeader` — a `--resume` under a
-//! different rung set is a typed header mismatch, never a silently
-//! diverging journal. Every fallback is a deterministic function of
-//! (seed, history), so the byte-identical-journal contract of the
-//! crash-safe layer survives degradation.
+//! Health is resolved once, at run construction, and the names of the
+//! components on their fallback are recorded in the run's `RunHeader` — a
+//! `--resume` under a different fallback set is a typed header mismatch,
+//! never a silently diverging journal. Every fallback is a deterministic
+//! function of (seed, history), so the byte-identical-journal contract of
+//! the crash-safe layer survives degradation.
 //!
 //! This module is the *vocabulary*; resolution lives next to the artifact
 //! loaders (core/cli) and enforcement lives in the journal layer.
@@ -28,7 +28,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The learned components of the Glimpse tuner, in ladder-table order.
+/// The learned components of the Glimpse tuner, in health-table order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Component {
     /// Blueprint PCA codec (spec → low-dimensional hardware embedding).
@@ -64,25 +64,6 @@ impl Component {
             Component::CostModel => "cost-model",
         }
     }
-
-    /// Human labels for each ladder rung, rung 0 first (the learned mode).
-    #[must_use]
-    pub fn rungs(self) -> &'static [&'static str] {
-        match self {
-            Component::BlueprintCodec => &["blueprint-pca", "raw-normalized-features"],
-            Component::Prior => &["prior-net-h", "uniform-initial-sampling"],
-            Component::Acquisition => &["meta-acquisition", "sa-energy"],
-            Component::Sampler => &["threshold-ensemble", "validity-check-only"],
-            Component::CostModel => &["gbt-surrogate", "measured-history-rank"],
-        }
-    }
-
-    /// Label of rung `rung`, saturating at the ladder bottom.
-    #[must_use]
-    pub fn rung_label(self, rung: u8) -> &'static str {
-        let rungs = self.rungs();
-        rungs[(rung as usize).min(rungs.len() - 1)]
-    }
 }
 
 impl fmt::Display for Component {
@@ -91,7 +72,7 @@ impl fmt::Display for Component {
     }
 }
 
-/// Why a component left rung 0. Artifact-shaped causes mirror the
+/// Why a component runs its fallback. Artifact-shaped causes mirror the
 /// `glimpse-durable` envelope verdicts; the rest are semantic failures
 /// found after the bytes verified.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -117,7 +98,7 @@ pub enum HealthCause {
         /// What the validator rejected.
         detail: String,
     },
-    /// A component this one depends on is itself off rung 0 (e.g. the
+    /// A component this one depends on is itself on its fallback (e.g. the
     /// prior cannot run without a blueprint from the codec).
     DependencyDegraded {
         /// Name of the degraded dependency.
@@ -143,56 +124,31 @@ impl fmt::Display for HealthCause {
     }
 }
 
-/// Health of one component after ladder resolution.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ComponentHealth {
-    /// Running its learned mode (rung 0).
-    Healthy,
-    /// Running a weaker-but-valid fallback rung.
-    Degraded {
-        /// Why the component left rung 0.
-        cause: HealthCause,
-    },
-    /// No usable mode above the ladder bottom; contributes nothing.
-    Disabled {
-        /// Why the component is out entirely.
-        cause: HealthCause,
-    },
-}
-
-impl ComponentHealth {
-    /// Whether the component is on rung 0.
-    #[must_use]
-    pub fn is_healthy(&self) -> bool {
-        matches!(self, ComponentHealth::Healthy)
-    }
-
-    /// The cause, when not healthy.
-    #[must_use]
-    pub fn cause(&self) -> Option<&HealthCause> {
-        match self {
-            ComponentHealth::Healthy => None,
-            ComponentHealth::Degraded { cause } | ComponentHealth::Disabled { cause } => Some(cause),
-        }
-    }
-}
-
-/// One resolved row: component, health, and the ladder rung it runs at.
+/// One resolved row: a component, learned or on its fallback.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComponentReport {
     /// Which component.
     pub component: Component,
-    /// Its resolved health.
-    pub health: ComponentHealth,
-    /// Ladder rung in use (0 = learned mode).
-    pub rung: u8,
+    /// `None` while the component runs learned; why it fell back otherwise.
+    pub cause: Option<HealthCause>,
 }
 
 impl ComponentReport {
-    /// Human label of the rung in use.
+    /// Human label of the mode in use: the learned mode, or the fallback.
     #[must_use]
-    pub fn rung_label(&self) -> &'static str {
-        self.component.rung_label(self.rung)
+    pub fn mode(&self) -> &'static str {
+        let (learned, fallback) = match self.component {
+            Component::BlueprintCodec => ("blueprint-pca", "raw-normalized-features"),
+            Component::Prior => ("prior-net-h", "uniform-initial-sampling"),
+            Component::Acquisition => ("meta-acquisition", "sa-energy"),
+            Component::Sampler => ("threshold-ensemble", "validity-check-only"),
+            Component::CostModel => ("gbt-surrogate", "measured-history-rank"),
+        };
+        if self.cause.is_some() {
+            fallback
+        } else {
+            learned
+        }
     }
 }
 
@@ -206,45 +162,41 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// All components healthy on rung 0.
+    /// Every component learned.
     #[must_use]
     pub fn healthy() -> Self {
-        Self {
-            components: Component::ALL
-                .iter()
-                .map(|&component| ComponentReport {
-                    component,
-                    health: ComponentHealth::Healthy,
-                    rung: 0,
-                })
-                .collect(),
-        }
+        Self::with_cause(None)
     }
 
-    /// A report demoting every component for the same `cause` — what a
-    /// wholly missing or corrupt artifact bundle resolves to.
+    /// A report putting every component on its fallback for the same
+    /// `cause` — what a wholly missing or corrupt artifact bundle resolves
+    /// to.
     #[must_use]
     pub fn all_degraded(cause: &HealthCause) -> Self {
+        Self::with_cause(Some(cause))
+    }
+
+    fn with_cause(cause: Option<&HealthCause>) -> Self {
         Self {
             components: Component::ALL
                 .iter()
                 .map(|&component| ComponentReport {
                     component,
-                    health: ComponentHealth::Degraded { cause: cause.clone() },
-                    rung: 1,
+                    cause: cause.cloned(),
                 })
                 .collect(),
         }
     }
 
-    /// Demotes `component` to `rung` for `cause` (upgrades never happen
-    /// mid-resolution: an already-lower rung wins).
-    pub fn demote(&mut self, component: Component, rung: u8, cause: HealthCause) {
-        for row in &mut self.components {
-            if row.component == component && rung > row.rung {
-                row.rung = rung;
-                row.health = ComponentHealth::Degraded { cause: cause.clone() };
-            }
+    /// Puts `component` on its fallback for `cause`. A component already
+    /// on its fallback keeps its first cause.
+    pub fn demote(&mut self, component: Component, cause: HealthCause) {
+        if let Some(row) = self
+            .components
+            .iter_mut()
+            .find(|row| row.component == component && row.cause.is_none())
+        {
+            row.cause = Some(cause);
         }
     }
 
@@ -254,36 +206,27 @@ impl HealthReport {
         self.components.iter().find(|row| row.component == component)
     }
 
-    /// Rung in use for `component` (0 when the row is absent, matching a
-    /// header written before health tracking existed).
+    /// Whether `component` runs its fallback (an absent row reads as
+    /// learned).
     #[must_use]
-    pub fn rung(&self, component: Component) -> u8 {
-        self.get(component).map_or(0, |row| row.rung)
+    pub fn is_fallback(&self, component: Component) -> bool {
+        self.get(component).is_some_and(|row| row.cause.is_some())
     }
 
-    /// Whether any component is off rung 0.
+    /// Whether any component runs its fallback.
     #[must_use]
     pub fn any_degraded(&self) -> bool {
-        self.components.iter().any(|row| !row.health.is_healthy())
+        self.components.iter().any(|row| row.cause.is_some())
     }
 
-    /// Names of the components off rung 0, for log lines and reports.
+    /// Names of the components on their fallback, for log lines, reports
+    /// and run headers.
     #[must_use]
     pub fn degraded_names(&self) -> Vec<&'static str> {
         self.components
             .iter()
-            .filter(|row| !row.health.is_healthy())
+            .filter(|row| row.cause.is_some())
             .map(|row| row.component.name())
-            .collect()
-    }
-
-    /// The compact `component=rung` ladder fingerprint recorded in run
-    /// headers and enforced on resume.
-    #[must_use]
-    pub fn rung_fingerprint(&self) -> Vec<(String, u8)> {
-        self.components
-            .iter()
-            .map(|row| (row.component.name().to_string(), row.rung))
             .collect()
     }
 }
@@ -299,23 +242,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn healthy_report_has_all_components_on_rung_zero() {
+    fn healthy_report_has_every_component_learned() {
         let report = HealthReport::healthy();
         assert_eq!(report.components.len(), Component::ALL.len());
         assert!(!report.any_degraded());
-        assert!(report.rung_fingerprint().iter().all(|(_, rung)| *rung == 0));
+        assert!(Component::ALL.iter().all(|&c| !report.is_fallback(c)));
     }
 
     #[test]
-    fn demote_is_monotone() {
+    fn demote_keeps_the_first_cause() {
         let mut report = HealthReport::healthy();
-        report.demote(Component::Prior, 1, HealthCause::ChecksumMismatch);
-        assert_eq!(report.rung(Component::Prior), 1);
-        // A later, shallower demotion must not promote the component back.
-        report.demote(Component::Prior, 0, HealthCause::Injected);
-        assert_eq!(report.rung(Component::Prior), 1);
+        report.demote(Component::Prior, HealthCause::ChecksumMismatch);
+        assert!(report.is_fallback(Component::Prior));
+        // A later demotion does not overwrite why the component fell back.
+        report.demote(Component::Prior, HealthCause::Injected);
+        let row = report.get(Component::Prior).unwrap();
+        assert_eq!(row.cause, Some(HealthCause::ChecksumMismatch));
         assert_eq!(report.degraded_names(), vec!["prior"]);
-        assert_eq!(report.get(Component::Prior).unwrap().rung_label(), "uniform-initial-sampling");
+        assert_eq!(row.mode(), "uniform-initial-sampling");
     }
 
     #[test]
@@ -330,7 +274,6 @@ mod tests {
         let mut report = HealthReport::healthy();
         report.demote(
             Component::CostModel,
-            1,
             HealthCause::SchemaDrift {
                 found: "artifacts v9".into(),
                 expected: "artifacts v1".into(),
@@ -338,7 +281,6 @@ mod tests {
         );
         report.demote(
             Component::Sampler,
-            1,
             HealthCause::DependencyDegraded {
                 dependency: "blueprint-codec".into(),
             },
@@ -346,13 +288,6 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: HealthReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
-    }
-
-    #[test]
-    fn rung_labels_saturate_at_ladder_bottom() {
-        assert_eq!(Component::Prior.rung_label(0), "prior-net-h");
-        assert_eq!(Component::Prior.rung_label(1), "uniform-initial-sampling");
-        assert_eq!(Component::Prior.rung_label(7), "uniform-initial-sampling");
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   process-wide token for a graceful drain, the second hard-exits.
 //! * [`report`] — the degradation taxonomy ([`report::CellStatus`]) and the
 //!   `degradation.json` schema ([`report::DegradationReport`]).
-//! * [`health`] — per-component health ([`health::ComponentHealth`]) and
-//!   the fallback-ladder vocabulary ([`health::HealthReport`]) that lets a
-//!   run with damaged learned artifacts complete degraded instead of
+//! * [`health`] — per-component health: each learned component runs
+//!   learned or on its one fallback ([`health::HealthReport`]), which lets
+//!   a run with damaged learned artifacts complete degraded instead of
 //!   aborting.
 //!
 //! The crate is a DAG leaf (it imports no `glimpse_*` crate), so every
@@ -38,6 +38,6 @@ pub mod signal;
 pub mod watchdog;
 
 pub use cancel::{CancelReason, CancelToken};
-pub use health::{Component, ComponentHealth, ComponentReport, HealthCause, HealthReport};
+pub use health::{Component, ComponentReport, HealthCause, HealthReport};
 pub use report::{Abandonment, CellReport, CellStatus, Degradation, DegradationReport};
 pub use watchdog::{Heartbeat, Watchdog};

@@ -23,10 +23,10 @@ pub enum Degradation {
     Stalled,
     /// An operator signal (SIGINT/SIGTERM) requested a graceful drain.
     Interrupted,
-    /// One or more learned components ran on a fallback ladder rung
-    /// (damaged artifact, failed validation, or injected fault). The cell
-    /// ran its full budget; the [`CellReport::health`] payload names the
-    /// components, causes, and rungs.
+    /// One or more learned components ran on their fallback (damaged
+    /// artifact, failed validation, or injected fault). The cell ran its
+    /// full budget; the [`CellReport::health`] payload names the
+    /// components and causes.
     ComponentFallback,
 }
 
@@ -71,7 +71,7 @@ pub enum CellStatus {
 
 impl CellStatus {
     /// Collapses the ways a cell can end — a tripped token, a dead device,
-    /// or a full budget run on fallback rungs — into one status.
+    /// or a full budget run on component fallbacks — into one status.
     /// Precedence: cancellation > device death > component fallback >
     /// complete. A tripped token means the stop was *requested*, not
     /// suffered, and a requested stop or a dead device says more about the
@@ -196,7 +196,7 @@ mod tests {
             CellStatus::Degraded(Degradation::ComponentFallback)
         );
         assert_eq!(CellStatus::settle(None, false, false), CellStatus::Complete);
-        // A requested stop or dead device outranks a fallback rung.
+        // A requested stop or dead device outranks a component fallback.
         assert_eq!(
             CellStatus::settle(Some(CancelReason::Interrupted), false, true),
             CellStatus::Degraded(Degradation::Interrupted)
@@ -220,7 +220,7 @@ mod tests {
     #[test]
     fn health_payload_round_trips_in_a_cell_report() {
         let mut health = crate::health::HealthReport::healthy();
-        health.demote(crate::health::Component::Prior, 1, crate::health::HealthCause::Truncated);
+        health.demote(crate::health::Component::Prior, crate::health::HealthCause::Truncated);
         let mut c = cell(CellStatus::Degraded(Degradation::ComponentFallback));
         c.health = Some(health.clone());
         let json = serde_json::to_string(&c).unwrap();

@@ -70,12 +70,6 @@ impl AutoTvmTuner {
         }
     }
 
-    /// Creates the tuner with explicit hyperparameters.
-    #[must_use]
-    pub fn with_config(config: AutoTvmConfig) -> Self {
-        Self { config }
-    }
-
     /// Enables transfer learning from foreign logs.
     #[must_use]
     pub fn with_transfer(mut self, logs: Vec<TuningHistory>) -> Self {

@@ -2,9 +2,13 @@
 //!
 //! The paper's comparisons use two stopping modes: a fixed optimization-time
 //! budget per layer (Fig. 5 gives every compiler 100 seconds) and
-//! run-to-quality (Fig. 6/9 compare how fast each compiler reaches
-//! comparable output-code performance). [`Budget`] expresses both, plus a
-//! hard measurement cap so no experiment runs away.
+//! self-paced convergence (Figs. 6/9 compare how fast each compiler reaches
+//! comparable output-code performance). The end-to-end grid behind Figs.
+//! 6/7/9 and Table 2 runs AutoTVM at a fixed trial count and the adaptive
+//! tuners until their best-so-far plateaus ([`PlateauRule`]); no bench
+//! harness stops at a target quality ([`Budget::with_target`], which the
+//! quickstart example uses). Every budget carries a hard measurement cap so
+//! no experiment runs away.
 
 use serde::{Deserialize, Serialize};
 

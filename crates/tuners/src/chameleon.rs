@@ -24,61 +24,28 @@ use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use rand::Rng;
 
-/// Chameleon hyperparameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ChameleonConfig {
-    /// Random measurements before the first surrogate fit.
-    pub n_init: usize,
-    /// Hardware measurements per iteration.
-    pub batch_size: usize,
-    /// Parallel Markov chains per exploration round.
-    pub sa_chains: usize,
-    /// Steps per chain in the **first** round.
-    pub sa_steps_initial: usize,
-    /// Geometric decay of per-round annealing steps (adaptive exploration).
-    pub sa_decay: f64,
-    /// Candidate-pool multiple handed to adaptive sampling.
-    pub pool_factor: usize,
-}
-
-impl Default for ChameleonConfig {
-    fn default() -> Self {
-        Self {
-            n_init: 16,
-            batch_size: 16,
-            sa_chains: 32,
-            sa_steps_initial: 60,
-            sa_decay: 0.75,
-            pool_factor: 4,
-        }
-    }
-}
+/// Random measurements before the first surrogate fit.
+const N_INIT: usize = 16;
+/// Hardware measurements per iteration.
+const BATCH_SIZE: usize = 16;
+/// Parallel Markov chains per exploration round.
+const SA_CHAINS: usize = 32;
+/// Steps per chain in the **first** round.
+const SA_STEPS_INITIAL: usize = 60;
+/// Geometric decay of per-round annealing steps (adaptive exploration).
+const SA_DECAY: f64 = 0.75;
+/// Candidate-pool multiple handed to adaptive sampling.
+const POOL_FACTOR: usize = 4;
 
 /// The Chameleon tuner.
-#[derive(Debug, Clone)]
-pub struct ChameleonTuner {
-    config: ChameleonConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ChameleonTuner;
 
 impl ChameleonTuner {
-    /// Creates the tuner with default hyperparameters.
+    /// Creates the tuner.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            config: ChameleonConfig::default(),
-        }
-    }
-
-    /// Creates the tuner with explicit hyperparameters.
-    #[must_use]
-    pub fn with_config(config: ChameleonConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl Default for ChameleonTuner {
-    fn default() -> Self {
-        Self::new()
+        Self
     }
 }
 
@@ -91,7 +58,7 @@ impl Tuner for ChameleonTuner {
         let mut rng = child_rng(ctx.seed, 0xC4A3_1E0A);
         let mut model = GbtCostModel::new(ctx.seed ^ 0x11);
 
-        while ctx.history().len() < self.config.n_init && !ctx.exhausted() {
+        while ctx.history().len() < N_INIT && !ctx.exhausted() {
             let config = ctx.space.sample_uniform(&mut rng);
             ctx.measure(&config);
             ctx.add_explorer_steps(1);
@@ -104,14 +71,12 @@ impl Tuner for ChameleonTuner {
         while !ctx.exhausted() {
             model.fit(ctx.space, ctx.history());
             // Adaptive exploration: shrinking annealing budget, greedy restarts.
-            let steps = ((self.config.sa_steps_initial as f64) * self.config.sa_decay.powi(round as i32))
-                .ceil()
-                .max(8.0) as usize;
+            let steps = ((SA_STEPS_INITIAL as f64) * SA_DECAY.powi(round as i32)).ceil().max(8.0) as usize;
             round += 1;
             let mut ranked = ctx.history().valid_pairs();
             ranked.sort_by(|a, b| b.1.total_cmp(&a.1));
-            let mut starts: Vec<Config> = ranked.iter().map(|(c, _)| (*c).clone()).take(self.config.sa_chains / 2).collect();
-            while starts.len() < self.config.sa_chains {
+            let mut starts: Vec<Config> = ranked.iter().map(|(c, _)| (*c).clone()).take(SA_CHAINS / 2).collect();
+            while starts.len() < SA_CHAINS {
                 starts.push(ctx.space.sample_uniform(&mut rng));
             }
             let space = ctx.space;
@@ -123,7 +88,7 @@ impl Tuner for ChameleonTuner {
                 |c| model.predict(space, c),
                 |c: &Config, out: &mut Config, r: &mut _| space.neighbor_into(c, out, r),
                 SaParams {
-                    chains: self.config.sa_chains,
+                    chains: SA_CHAINS,
                     max_steps: steps,
                     t_start: 1.0,
                     t_end: 0.05,
@@ -138,9 +103,9 @@ impl Tuner for ChameleonTuner {
             ctx.add_explorer_steps(outcome.steps_executed);
 
             // Candidate pool for adaptive sampling.
-            let pool_target = self.config.batch_size * self.config.pool_factor;
+            let pool_target = BATCH_SIZE * POOL_FACTOR;
             let mut pool: Vec<Config> = Vec::new();
-            for (config, _) in outcome.top_k(self.config.sa_chains) {
+            for (config, _) in outcome.top_k(SA_CHAINS) {
                 if !ctx.seen(&config) && !pool.contains(&config) {
                     pool.push(config);
                 }
@@ -174,7 +139,7 @@ impl Tuner for ChameleonTuner {
             // filter reads the batch results.
             let features = model.features_batch(space, &pool);
             let pool_preds = model.predict_batch(space, &pool);
-            let clusters = kmeans(&features, self.config.batch_size, 25, &mut rng);
+            let clusters = kmeans(&features, BATCH_SIZE, 25, &mut rng);
             let chosen = snap_to_points(&clusters.centroids, &features);
             // Exploit guard: always measure the surrogate's single best
             // proposal, then fill with the (diverse) centroid picks that the
@@ -191,7 +156,7 @@ impl Tuner for ChameleonTuner {
                 }
             }
             let mut fill_attempts = 0;
-            while batch.len() < self.config.batch_size && fill_attempts < 200 {
+            while batch.len() < BATCH_SIZE && fill_attempts < 200 {
                 fill_attempts += 1;
                 // Back-fill from the pool's neighborhoods rather than
                 // uniform samples (which are mostly invalid).

@@ -421,6 +421,12 @@ pub trait Tuner {
 
     /// Runs the tuning loop until the context's budget is exhausted.
     fn tune(&mut self, ctx: TuneContext<'_>) -> TuningOutcome;
+
+    /// Which learned components run learned and which on their fallback
+    /// (`None` for tuners without learned components).
+    fn health(&self) -> Option<&HealthReport> {
+        None
+    }
 }
 
 #[cfg(test)]

@@ -16,65 +16,34 @@ use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use rand::Rng;
 
-/// DGP hyperparameters.
-#[derive(Debug, Clone)]
-pub struct DgpConfig {
-    /// Random measurements before the first GP fit.
-    pub n_init: usize,
-    /// Hardware measurements per iteration.
-    pub batch_size: usize,
-    /// Candidate pool scored by the acquisition per iteration.
-    pub candidates: usize,
-    /// Maximum observations the exact GP conditions on (recent-best subset).
-    pub gp_cap: usize,
-    /// Cross-task logs from the same GPU for the transfer prior.
-    pub transfer: Vec<TuningHistory>,
-}
-
-impl Default for DgpConfig {
-    fn default() -> Self {
-        Self {
-            n_init: 16,
-            batch_size: 16,
-            candidates: 384,
-            gp_cap: 200,
-            transfer: Vec::new(),
-        }
-    }
-}
+/// Random measurements before the first GP fit.
+const N_INIT: usize = 16;
+/// Hardware measurements per iteration.
+const BATCH_SIZE: usize = 16;
+/// Candidate pool scored by the acquisition per iteration.
+const CANDIDATES: usize = 384;
+/// Maximum observations the exact GP conditions on (recent-best subset).
+const GP_CAP: usize = 200;
 
 /// The DGP tuner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DgpTuner {
-    config: DgpConfig,
+    /// Cross-task logs from the same GPU for the transfer prior.
+    transfer: Vec<TuningHistory>,
 }
 
 impl DgpTuner {
-    /// Creates the tuner with default hyperparameters.
+    /// Creates the tuner without transfer logs.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            config: DgpConfig::default(),
-        }
-    }
-
-    /// Creates the tuner with explicit hyperparameters.
-    #[must_use]
-    pub fn with_config(config: DgpConfig) -> Self {
-        Self { config }
+        Self::default()
     }
 
     /// Supplies cross-task transfer logs (same target GPU).
     #[must_use]
     pub fn with_transfer(mut self, logs: Vec<TuningHistory>) -> Self {
-        self.config.transfer = logs;
+        self.transfer = logs;
         self
-    }
-}
-
-impl Default for DgpTuner {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -91,12 +60,12 @@ impl Tuner for DgpTuner {
 
         // Transfer prior mean from other tasks on this GPU.
         let mut prior = GbtCostModel::new(ctx.seed ^ 0x77);
-        if !self.config.transfer.is_empty() {
-            let refs: Vec<&TuningHistory> = self.config.transfer.iter().collect();
+        if !self.transfer.is_empty() {
+            let refs: Vec<&TuningHistory> = self.transfer.iter().collect();
             prior.load_transfer(ctx.space, &refs, 64);
         }
 
-        while ctx.history().len() < self.config.n_init && !ctx.exhausted() {
+        while ctx.history().len() < N_INIT && !ctx.exhausted() {
             let config = ctx.space.sample_uniform(&mut rng);
             ctx.measure(&config);
             ctx.add_explorer_steps(1);
@@ -126,8 +95,8 @@ impl Tuner for DgpTuner {
                 .zip(means)
                 .map(|((f, t), m)| (f, (t.gflops.unwrap_or(0.0) - m) / SCALE))
                 .collect();
-            if obs.len() > self.config.gp_cap {
-                let skip = obs.len() - self.config.gp_cap;
+            if obs.len() > GP_CAP {
+                let skip = obs.len() - GP_CAP;
                 obs.drain(0..skip);
             }
             // The exact GP owns its conditioning matrix; copying the capped
@@ -149,8 +118,8 @@ impl Tuner for DgpTuner {
             // Candidate generation stays sequential (it consumes the tuner
             // RNG); the acquisition scoring of the batch is pure and fans
             // out across workers below.
-            let mut candidates: Vec<Config> = Vec::with_capacity(self.config.candidates);
-            for i in 0..self.config.candidates {
+            let mut candidates: Vec<Config> = Vec::with_capacity(CANDIDATES);
+            for i in 0..CANDIDATES {
                 // Mix of uniform candidates and neighbors of incumbents.
                 let candidate = if i % 3 == 0 && !ranked.is_empty() {
                     let base = ranked[rng.gen_range(0..ranked.len().min(8))].0;
@@ -183,7 +152,7 @@ impl Tuner for DgpTuner {
             scored.sort_by(|a, b| b.1.total_cmp(&a.1));
             let mut batch: Vec<Config> = Vec::new();
             for (config, _) in scored {
-                if batch.len() >= self.config.batch_size {
+                if batch.len() >= BATCH_SIZE {
                     break;
                 }
                 if !batch.contains(&config) {
@@ -191,7 +160,7 @@ impl Tuner for DgpTuner {
                 }
             }
             let mut attempts = 0;
-            while batch.len() < self.config.batch_size && attempts < 100 {
+            while batch.len() < BATCH_SIZE && attempts < 100 {
                 attempts += 1;
                 let config = ctx.space.sample_uniform(&mut rng);
                 if !ctx.seen(&config) && !batch.contains(&config) {

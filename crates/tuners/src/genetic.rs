@@ -12,55 +12,24 @@ use glimpse_mlkit::stats::child_rng;
 use glimpse_space::Config;
 use rand::Rng;
 
-/// Genetic-algorithm hyperparameters.
-#[derive(Debug, Clone, Copy)]
-pub struct GeneticConfig {
-    /// Population size (individuals measured per generation).
-    pub population: usize,
-    /// Elites copied unchanged into the next generation.
-    pub elites: usize,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Per-knob mutation probability.
-    pub mutation_rate: f64,
-}
-
-impl Default for GeneticConfig {
-    fn default() -> Self {
-        Self {
-            population: 16,
-            elites: 2,
-            tournament: 3,
-            mutation_rate: 0.12,
-        }
-    }
-}
+/// Population size (individuals measured per generation).
+const POPULATION: usize = 16;
+/// Elites copied unchanged into the next generation.
+const ELITES: usize = 2;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
+/// Per-knob mutation probability.
+const MUTATION_RATE: f64 = 0.12;
 
 /// The GA tuner.
-#[derive(Debug, Clone)]
-pub struct GeneticTuner {
-    config: GeneticConfig,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct GeneticTuner;
 
 impl GeneticTuner {
-    /// Creates the tuner with default hyperparameters.
+    /// Creates the tuner.
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            config: GeneticConfig::default(),
-        }
-    }
-
-    /// Creates the tuner with explicit hyperparameters.
-    #[must_use]
-    pub fn with_config(config: GeneticConfig) -> Self {
-        Self { config }
-    }
-}
-
-impl Default for GeneticTuner {
-    fn default() -> Self {
-        Self::new()
+        Self
     }
 }
 
@@ -71,7 +40,7 @@ impl Tuner for GeneticTuner {
 
     fn tune(&mut self, mut ctx: TuneContext<'_>) -> TuningOutcome {
         let mut rng = child_rng(ctx.seed, 0x06E6_E71C);
-        let pop_size = self.config.population.max(2);
+        let pop_size = POPULATION;
 
         // Generation 0: uniform random.
         let mut population: Vec<Config> = (0..pop_size).map(|_| ctx.space.sample_uniform(&mut rng)).collect();
@@ -82,15 +51,15 @@ impl Tuner for GeneticTuner {
             // Elitism: carry the best individuals over unchanged.
             let mut order: Vec<usize> = (0..population.len()).collect();
             order.sort_by(|&i, &j| fitness[j].total_cmp(&fitness[i]));
-            let mut next: Vec<Config> = order.iter().take(self.config.elites).map(|&i| population[i].clone()).collect();
-            let mut next_fitness: Vec<f64> = order.iter().take(self.config.elites).map(|&i| fitness[i]).collect();
+            let mut next: Vec<Config> = order.iter().take(ELITES).map(|&i| population[i].clone()).collect();
+            let mut next_fitness: Vec<f64> = order.iter().take(ELITES).map(|&i| fitness[i]).collect();
 
             // Offspring: tournament select two parents, uniform crossover,
             // mutate, measure.
             while next.len() < pop_size && !ctx.exhausted() {
                 let parent = |rng: &mut rand::rngs::StdRng, fitness: &[f64]| -> usize {
                     let mut best = rng.gen_range(0..fitness.len());
-                    for _ in 1..self.config.tournament {
+                    for _ in 1..TOURNAMENT {
                         let cand = rng.gen_range(0..fitness.len());
                         if fitness[cand] > fitness[best] {
                             best = cand;
@@ -107,7 +76,7 @@ impl Tuner for GeneticTuner {
                     .map(|(&x, &y)| if rng.gen::<bool>() { x } else { y })
                     .collect();
                 for (g, knob) in genes.iter_mut().zip(ctx.space.knobs()) {
-                    if rng.gen::<f64>() < self.config.mutation_rate {
+                    if rng.gen::<f64>() < MUTATION_RATE {
                         *g = rng.gen_range(0..knob.cardinality());
                     }
                 }

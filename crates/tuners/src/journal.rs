@@ -42,7 +42,7 @@
 use crate::budget::Budget;
 use crate::context::{RunControl, TuneContext, Tuner, TuningOutcome};
 use crate::history::Trial;
-use glimpse_sim::{FaultRates, Measurer, MeasurerState, RetryPolicy, StorageFaults};
+use glimpse_sim::{FaultRates, Measurer, MeasurerState, StorageFaults};
 use glimpse_space::SearchSpace;
 use glimpse_supervise::{CellStatus, Degradation, HealthReport};
 use glimpse_tensor_prog::{Task, TemplateKind};
@@ -133,7 +133,8 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// Frame 0 of every journal: the run's identity and starting state. A
+/// Frame 0 of every journal: the run's identity and starting state, read
+/// from the tuner, task, measurer, budget and seed the run is given. A
 /// resumed run must present identical parameters — the header is the
 /// contract that makes byte-identical resume meaningful.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -152,19 +153,16 @@ pub struct RunHeader {
     pub budget: Budget,
     /// Tuner seed.
     pub seed: u64,
-    /// Retry policy applied to faulted measurements.
-    pub retry: RetryPolicy,
-    /// Fault-plan seed the measurer was built with.
-    pub fault_seed: u64,
-    /// Fault rates in effect for this device.
-    pub fault_rates: FaultRates,
-    /// Fallback-ladder fingerprint (`component name` → rung) the run was
-    /// constructed with. An empty list reads as "every component on rung
-    /// 0"; a header without the field is refused as
-    /// [`JournalError::Corrupt`]. Resuming a run under a *different* rung
-    /// set is a header mismatch, because the tuner is a deterministic
-    /// function of (seed, history, rungs).
-    pub rungs: Vec<(String, u8)>,
+    /// Fault-plan seed and this device's fault rates
+    /// ([`Measurer::faults`]); `None` when the measurer injects nothing.
+    pub faults: Option<(u64, FaultRates)>,
+    /// Names of the learned components the tuner runs on their fallback
+    /// ([`Tuner::health`]); empty when every component is learned or the
+    /// tuner has none. A header without the field is refused as
+    /// [`JournalError::Corrupt`]. Resuming a run under a *different* set
+    /// is a header mismatch, because the tuner is a deterministic function
+    /// of (seed, history, fallbacks).
+    pub fallbacks: Vec<String>,
     /// Measurer state when the run started.
     pub start: MeasurerState,
 }
@@ -479,13 +477,6 @@ pub struct CheckpointSpec<'p> {
     pub storage: StorageFaults,
     /// Trials per snapshot + WAL fsync.
     pub snapshot_every: u64,
-    /// Fault-plan seed recorded in (and checked against) the header.
-    pub fault_seed: u64,
-    /// Device fault rates recorded in (and checked against) the header.
-    pub fault_rates: FaultRates,
-    /// Fallback-ladder fingerprint recorded in (and checked against) the
-    /// header. Empty means every component on its learned rung.
-    pub rungs: &'p [(String, u8)],
 }
 
 impl<'p> CheckpointSpec<'p> {
@@ -498,9 +489,6 @@ impl<'p> CheckpointSpec<'p> {
             resume: false,
             storage: StorageFaults::none(),
             snapshot_every: DEFAULT_SNAPSHOT_EVERY,
-            fault_seed: 0,
-            fault_rates: FaultRates::none(),
-            rungs: &[],
         }
     }
 
@@ -515,22 +503,6 @@ impl<'p> CheckpointSpec<'p> {
     #[must_use]
     pub fn with_storage(mut self, storage: StorageFaults) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Records the measurement fault plan's seed and per-device rates.
-    #[must_use]
-    pub fn with_faults(mut self, seed: u64, rates: FaultRates) -> Self {
-        self.fault_seed = seed;
-        self.fault_rates = rates;
-        self
-    }
-
-    /// Records the fallback-ladder fingerprint the tuner was resolved
-    /// with (see `HealthReport::rung_fingerprint`).
-    #[must_use]
-    pub fn with_rungs(mut self, rungs: &'p [(String, u8)]) -> Self {
-        self.rungs = rungs;
         self
     }
 }
@@ -551,7 +523,7 @@ pub struct SupervisedOutcome {
 
 impl SupervisedOutcome {
     /// Settles a run that has just finished under `control`: the token's
-    /// reason, a dead device and fallback rungs decide the status (see
+    /// reason, a dead device and component fallbacks decide the status (see
     /// [`CellStatus::settle`]), and the slack is taken under the tightest
     /// of the control's deadlines. The one rule both the
     /// journaled and the unjournaled paths report through.
@@ -571,12 +543,13 @@ impl SupervisedOutcome {
 ///
 /// Fresh run: writes the header, journals every trial before the tuner
 /// consumes it, snapshots periodically, and writes `complete.json` at the
-/// end. Resume (`spec.resume`): a completed cell returns its stored
-/// outcome without touching the measurer; an interrupted cell is recovered
-/// (lossy-tail truncation), the measurer is restored to the header's
-/// starting state, and the tuner is re-driven with the recorded prefix
-/// served from a replay queue — continuing live, bit-identically, where
-/// the crash hit.
+/// end. Resume (`spec.resume`): the journal's header must decode; a
+/// completed cell then returns its stored outcome without touching the
+/// measurer, and an interrupted cell whose header matches this run is
+/// recovered (lossy-tail truncation), the measurer is restored to the
+/// header's starting state, and the tuner is re-driven with the recorded
+/// prefix served from a replay queue — continuing live, bit-identically,
+/// where the crash hit.
 ///
 /// The run polls `control.cancel` at every trial boundary, enforces the
 /// control's simulated-clock deadlines, and settles into a typed
@@ -599,7 +572,8 @@ impl SupervisedOutcome {
 ///
 /// # Errors
 ///
-/// Journal IO/recovery errors, [`JournalError::HeaderMismatch`] when the
+/// Journal IO/recovery errors, [`JournalError::Corrupt`] for a header
+/// this build cannot read, [`JournalError::HeaderMismatch`] when the
 /// journal belongs to different run parameters, injected
 /// [`JournalError::SimulatedCrash`]/[`JournalError::TornWrite`] events,
 /// and [`JournalError::ReplayDivergence`] if determinism is broken.
@@ -614,59 +588,57 @@ pub fn run_supervised<T: Tuner + ?Sized>(
     seed: u64,
     control: &RunControl,
 ) -> Result<SupervisedOutcome, JournalError> {
+    let header = RunHeader {
+        tuner: tuner.name().to_owned(),
+        gpu: measurer.gpu().name.clone(),
+        model: task.id.model.clone(),
+        task_index: task.id.index,
+        template: task.template,
+        budget,
+        seed,
+        faults: measurer.faults(),
+        fallbacks: tuner
+            .health()
+            .map_or_else(Vec::new, |health| health.degraded_names().into_iter().map(str::to_owned).collect()),
+        start: measurer.state(),
+    };
     let journal_path = spec.dir.join(JOURNAL_FILE);
-    let retry = RetryPolicy::default();
     let mut resumed = None;
     if journal_path.exists() {
         if !spec.resume {
             return Err(JournalError::AlreadyExists(journal_path));
         }
-        if let Some(outcome) = load_complete(spec.dir)? {
-            // A completed cell re-reports through its stored health: a run
-            // that finished on fallback rungs stays Degraded on resume.
-            let fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
-            return Ok(SupervisedOutcome {
-                deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
-                status: CellStatus::settle(None, false, fallback),
-                outcome,
-            });
-        }
-        resumed = RunJournal::resume(spec.dir, spec.storage, spec.snapshot_every)?;
-        if resumed.is_none() {
+        // Recovery decodes the header first, so a cell whose header this
+        // build cannot read is refused even when it completed.
+        match RunJournal::resume(spec.dir, spec.storage, spec.snapshot_every)? {
+            Some(run) => {
+                if let Some(outcome) = load_complete(spec.dir)? {
+                    // A completed cell re-reports through its stored health:
+                    // a run that finished on fallbacks stays Degraded.
+                    let fallback = outcome.health.as_ref().is_some_and(HealthReport::any_degraded);
+                    return Ok(SupervisedOutcome {
+                        deadline_slack_s: deadline_slack(control, outcome.gpu_seconds),
+                        status: CellStatus::settle(None, false, fallback),
+                        outcome,
+                    });
+                }
+                verify_header(&run.header, &header)?;
+                measurer.restore_state(&run.header.start);
+                resumed = Some((run.journal, run.records));
+            }
             // The header frame never became durable: nothing was recorded,
             // so the only honest recovery is a fresh start.
-            std::fs::remove_file(&journal_path)?;
+            None => std::fs::remove_file(&journal_path)?,
         }
     }
     let (mut journal, records) = match resumed {
-        Some(run) => {
-            verify_header(&run.header, tuner.name(), task, measurer, budget, seed, retry, spec)?;
-            measurer.restore_state(&run.header.start);
-            (run.journal, run.records)
-        }
-        None => {
-            let header = RunHeader {
-                tuner: tuner.name().to_owned(),
-                gpu: measurer.gpu().name.clone(),
-                model: task.id.model.clone(),
-                task_index: task.id.index,
-                template: task.template,
-                budget,
-                seed,
-                retry,
-                fault_seed: spec.fault_seed,
-                fault_rates: spec.fault_rates,
-                rungs: spec.rungs.to_vec(),
-                start: measurer.state(),
-            };
-            (
-                RunJournal::create(spec.dir, &header, spec.storage, spec.snapshot_every)?,
-                Vec::new(),
-            )
-        }
+        Some(run) => run,
+        None => (
+            RunJournal::create(spec.dir, &header, spec.storage, spec.snapshot_every)?,
+            Vec::new(),
+        ),
     };
     let ctx = TuneContext::new(task, space, measurer, budget, seed)
-        .with_retry_policy(retry)
         .with_control(control.clone())
         .with_journal(&mut journal)
         .with_replay(records);
@@ -675,10 +647,10 @@ pub fn run_supervised<T: Tuner + ?Sized>(
         return Err(err);
     }
     let supervised = SupervisedOutcome::settle(outcome, control, measurer.is_device_dead());
-    // A full-budget run on fallback rungs is still *finished*: complete.json
-    // is written (the cell never re-runs), but the status reports the
-    // weakened search strategy. A cut-short or abandoned cell flushes its
-    // snapshot and stays resumable.
+    // A full-budget run on component fallbacks is still *finished*:
+    // complete.json is written (the cell never re-runs), but the status
+    // reports the weakened search strategy. A cut-short or abandoned cell
+    // flushes its snapshot and stays resumable.
     if matches!(
         supervised.status,
         CellStatus::Complete | CellStatus::Degraded(Degradation::ComponentFallback)
@@ -699,78 +671,38 @@ fn deadline_slack(control: &RunControl, gpu_seconds: f64) -> Option<f64> {
         .map(|tightest| tightest - gpu_seconds)
 }
 
-#[allow(clippy::too_many_arguments, reason = "checks every field the header pins")]
-fn verify_header(
-    header: &RunHeader,
-    tuner: &str,
-    task: &Task,
-    measurer: &Measurer,
-    budget: Budget,
-    seed: u64,
-    retry: RetryPolicy,
-    spec: &CheckpointSpec<'_>,
-) -> Result<(), JournalError> {
-    let mismatch = |field: &str, journal: String, run: String| JournalError::HeaderMismatch {
-        detail: format!("{field}: journal={journal} run={run}"),
+/// Checks a recovered header against the run being resumed, field by
+/// field (the measurer's starting state is restored from the journal, not
+/// compared).
+fn verify_header(journal: &RunHeader, run: &RunHeader) -> Result<(), JournalError> {
+    let mismatch = |field: &str, journal: String, run: String| {
+        Err(JournalError::HeaderMismatch {
+            detail: format!("{field}: journal={journal} run={run}"),
+        })
     };
-    if header.tuner != tuner {
-        return Err(mismatch("tuner", header.tuner.clone(), tuner.to_owned()));
+    if journal.tuner != run.tuner {
+        return mismatch("tuner", journal.tuner.clone(), run.tuner.clone());
     }
-    let gpu = &measurer.gpu().name;
-    if &header.gpu != gpu {
-        return Err(mismatch("gpu", header.gpu.clone(), gpu.clone()));
+    if journal.gpu != run.gpu {
+        return mismatch("gpu", journal.gpu.clone(), run.gpu.clone());
     }
-    if header.model != task.id.model || header.task_index != task.id.index || header.template != task.template {
-        return Err(mismatch(
-            "task",
-            format!("{}#{} ({})", header.model, header.task_index, header.template),
-            format!("{}#{} ({})", task.id.model, task.id.index, task.template),
-        ));
+    let task = |h: &RunHeader| format!("{}#{} ({})", h.model, h.task_index, h.template);
+    if (&journal.model, journal.task_index, journal.template) != (&run.model, run.task_index, run.template) {
+        return mismatch("task", task(journal), task(run));
     }
-    if header.budget != budget {
-        return Err(mismatch("budget", format!("{:?}", header.budget), format!("{budget:?}")));
+    if journal.budget != run.budget {
+        return mismatch("budget", format!("{:?}", journal.budget), format!("{:?}", run.budget));
     }
-    if header.seed != seed {
-        return Err(mismatch("seed", header.seed.to_string(), seed.to_string()));
+    if journal.seed != run.seed {
+        return mismatch("seed", journal.seed.to_string(), run.seed.to_string());
     }
-    if header.retry != retry {
-        return Err(mismatch("retry", format!("{:?}", header.retry), format!("{retry:?}")));
+    if journal.faults != run.faults {
+        return mismatch("fault plan", format!("{:?}", journal.faults), format!("{:?}", run.faults));
     }
-    if header.fault_seed != spec.fault_seed || header.fault_rates != spec.fault_rates {
-        return Err(mismatch(
-            "fault plan",
-            format!("seed {} {:?}", header.fault_seed, header.fault_rates),
-            format!("seed {} {:?}", spec.fault_seed, spec.fault_rates),
-        ));
-    }
-    if !rungs_match(&header.rungs, spec.rungs) {
-        return Err(mismatch("rungs", format_rungs(&header.rungs), format_rungs(spec.rungs)));
+    if journal.fallbacks != run.fallbacks {
+        return mismatch("fallbacks", format!("{:?}", journal.fallbacks), format!("{:?}", run.fallbacks));
     }
     Ok(())
-}
-
-/// Whether two ladder fingerprints describe the same resolution. An absent
-/// entry (including a wholly empty fingerprint) reads as rung 0, so an
-/// empty `rungs` list resumes under healthy artifacts but not under
-/// degraded ones. A header that lacks the field never gets here: it fails
-/// to decode.
-fn rungs_match(journal: &[(String, u8)], run: &[(String, u8)]) -> bool {
-    let rung_of = |list: &[(String, u8)], name: &str| list.iter().find(|(n, _)| n == name).map_or(0, |(_, r)| *r);
-    journal
-        .iter()
-        .chain(run)
-        .all(|(name, _)| rung_of(journal, name) == rung_of(run, name))
-}
-
-fn format_rungs(rungs: &[(String, u8)]) -> String {
-    if rungs.is_empty() {
-        return "all-healthy".to_owned();
-    }
-    rungs
-        .iter()
-        .map(|(name, rung)| format!("{name}={rung}"))
-        .collect::<Vec<_>>()
-        .join(",")
 }
 
 #[cfg(test)]
@@ -781,7 +713,7 @@ mod tests {
     use glimpse_gpu_spec::database;
     use glimpse_sim::FaultPlan;
     use glimpse_space::templates;
-    use glimpse_supervise::{CancelToken, Heartbeat};
+    use glimpse_supervise::{CancelToken, Component, HealthCause, Heartbeat};
     use glimpse_tensor_prog::models;
 
     fn temp_dir(name: &str) -> PathBuf {
@@ -814,7 +746,7 @@ mod tests {
     fn uninterrupted_checkpointed_run_completes_and_reloads() {
         let dir = temp_dir("clean_run");
         let (task, space, plan) = fixture();
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&dir);
         let budget = Budget::measurements(20);
         let mut m = measurer(&plan);
         let outcome = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
@@ -844,7 +776,7 @@ mod tests {
         let bare = AutoTvmTuner::new().tune(TuneContext::new(&task, &space, &mut m, budget, 31));
 
         let dir = temp_dir("bare_vs_journaled");
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&dir);
         let control = RunControl::none();
         let mut m = measurer(&plan);
         let journaled = run_supervised(&mut AutoTvmTuner::new(), &spec, &task, &space, &mut m, budget, 31, &control).unwrap();
@@ -854,7 +786,7 @@ mod tests {
         // in the future and a heartbeat, the per-trial checks at their
         // production shape.
         let dir = temp_dir("bare_vs_supervised");
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&dir);
         let control = RunControl::none()
             .interrupted_by(CancelToken::new())
             .heartbeat(Heartbeat::new())
@@ -870,7 +802,7 @@ mod tests {
     fn existing_journal_without_resume_is_refused() {
         let dir = temp_dir("no_clobber");
         let (task, space, plan) = fixture();
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&dir);
         let budget = Budget::measurements(5);
         let mut m = measurer(&plan);
         run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap();
@@ -885,7 +817,7 @@ mod tests {
         let budget = Budget::measurements(12);
 
         let baseline_dir = temp_dir("kill_baseline");
-        let spec = CheckpointSpec::new(&baseline_dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&baseline_dir);
         let mut m = measurer(&plan);
         let baseline = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
             .unwrap()
@@ -898,14 +830,12 @@ mod tests {
                 crash_at_seq: Some(kill_seq),
                 ..StorageFaults::none()
             };
-            let spec = CheckpointSpec::new(&dir)
-                .with_faults(plan.seed, plan.default_rates)
-                .with_storage(crash);
+            let spec = CheckpointSpec::new(&dir).with_storage(crash);
             let mut m = measurer(&plan);
             let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
             assert!(matches!(err, JournalError::SimulatedCrash { seq } if seq == kill_seq), "{err}");
 
-            let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
+            let spec = CheckpointSpec::new(&dir).resuming(true);
             let mut m = measurer(&plan);
             let resumed = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
                 .unwrap()
@@ -922,7 +852,7 @@ mod tests {
         let budget = Budget::measurements(10);
 
         let baseline_dir = temp_dir("torn_baseline");
-        let spec = CheckpointSpec::new(&baseline_dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&baseline_dir);
         let mut m = measurer(&plan);
         run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 9, &RunControl::none()).unwrap();
         let baseline_wal = std::fs::read(baseline_dir.join(JOURNAL_FILE)).unwrap();
@@ -933,14 +863,12 @@ mod tests {
             torn_keep_bytes: Some(21),
             ..StorageFaults::none()
         };
-        let spec = CheckpointSpec::new(&dir)
-            .with_faults(plan.seed, plan.default_rates)
-            .with_storage(torn);
+        let spec = CheckpointSpec::new(&dir).with_storage(torn);
         let mut m = measurer(&plan);
         let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 9, &RunControl::none()).unwrap_err();
         assert!(matches!(err, JournalError::TornWrite { seq: 4 }), "{err}");
 
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
+        let spec = CheckpointSpec::new(&dir).resuming(true);
         let mut m = measurer(&plan);
         run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 9, &RunControl::none()).unwrap();
         assert_eq!(std::fs::read(dir.join(JOURNAL_FILE)).unwrap(), baseline_wal);
@@ -954,14 +882,12 @@ mod tests {
             crash_at_seq: Some(3),
             ..StorageFaults::none()
         };
-        let spec = CheckpointSpec::new(&dir)
-            .with_faults(plan.seed, plan.default_rates)
-            .with_storage(crash);
+        let spec = CheckpointSpec::new(&dir).with_storage(crash);
         let (budget, longer) = (Budget::measurements(10), Budget::measurements(11));
         let mut m = measurer(&plan);
         let _ = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none());
         // Different seed.
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
+        let spec = CheckpointSpec::new(&dir).resuming(true);
         let mut m = measurer(&plan);
         let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 4, &RunControl::none()).unwrap_err();
         assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
@@ -975,7 +901,7 @@ mod tests {
     fn blown_deadline_degrades_the_cell_but_leaves_it_resumable() {
         let dir = temp_dir("deadline");
         let (task, space, plan) = fixture();
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&dir);
         let control = RunControl::none().deadline_s(Some(0.0));
         let mut m = measurer(&plan);
         let supervised = run_supervised(
@@ -1035,7 +961,7 @@ mod tests {
         let budget = Budget::measurements(10);
 
         let baseline_dir = temp_dir("cancel_baseline");
-        let spec = CheckpointSpec::new(&baseline_dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&baseline_dir);
         let mut m = measurer(&plan);
         let baseline = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
             .unwrap()
@@ -1043,7 +969,7 @@ mod tests {
         let baseline_wal = std::fs::read(baseline_dir.join(JOURNAL_FILE)).unwrap();
 
         let dir = temp_dir("cancel_run");
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates);
+        let spec = CheckpointSpec::new(&dir);
         let control = RunControl::none().cancel_at_trial(5);
         let mut m = measurer(&plan);
         let supervised = run_supervised(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 3, &control).unwrap();
@@ -1073,82 +999,18 @@ mod tests {
         assert_eq!(std::fs::read(dir.join(JOURNAL_FILE)).unwrap(), baseline_wal);
     }
 
-    #[test]
-    fn resume_under_a_different_rung_set_is_refused() {
-        let dir = temp_dir("rung_mismatch");
-        let (task, space, plan) = fixture();
-        let degraded_rungs = vec![("prior".to_owned(), 1u8)];
-        let crash = StorageFaults {
-            crash_at_seq: Some(3),
-            ..StorageFaults::none()
-        };
-        let spec = CheckpointSpec::new(&dir)
-            .with_faults(plan.seed, plan.default_rates)
-            .with_rungs(&degraded_rungs)
-            .with_storage(crash);
-        let budget = Budget::measurements(10);
-        let mut m = measurer(&plan);
-        let _ = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none());
-        // Resuming with healthy artifacts (rung 0 everywhere) must refuse:
-        // the journaled prefix was produced by a different strategy.
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
-        let mut m = measurer(&plan);
-        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
-        assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
-        // Resuming under the recorded rung set continues fine.
-        let spec = spec.with_rungs(&degraded_rungs);
-        let mut m = measurer(&plan);
-        let outcome = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())
-            .unwrap()
-            .outcome;
-        assert_eq!(outcome.measurements, 10);
+    /// A tuner that delegates to [`RandomTuner`] but reports the given
+    /// component health, standing in for a Glimpse run.
+    struct DegradedTuner(HealthReport);
+
+    impl DegradedTuner {
+        /// The prior on its fallback, every other component learned.
+        fn prior_fallback() -> Self {
+            let mut health = HealthReport::healthy();
+            health.demote(Component::Prior, HealthCause::ChecksumMismatch);
+            Self(health)
+        }
     }
-
-    #[test]
-    fn header_without_rungs_is_refused_as_corrupt() {
-        let dir = temp_dir("no_rungs");
-        let (task, space, plan) = fixture();
-        let crash = StorageFaults {
-            crash_at_seq: Some(1),
-            ..StorageFaults::none()
-        };
-        let spec = CheckpointSpec::new(&dir)
-            .with_faults(plan.seed, plan.default_rates)
-            .with_storage(crash);
-        let budget = Budget::measurements(5);
-        let mut m = measurer(&plan);
-        let _ = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none());
-        // Rewrite the journal as its header frame with the field dropped.
-        let path = dir.join(JOURNAL_FILE);
-        let frames = glimpse_durable::scan(&std::fs::read(&path).unwrap(), 0).frames;
-        let header = String::from_utf8(frames[0].payload.clone()).unwrap();
-        let stripped = header.replace("\"rungs\":[],", "");
-        assert_ne!(stripped, header, "fixture header carries an empty rung list");
-        std::fs::remove_file(&path).unwrap();
-        let mut writer = glimpse_durable::WalWriter::create(&path).unwrap();
-        writer.append(stripped.as_bytes()).unwrap();
-        writer.sync().unwrap();
-
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
-        let mut m = measurer(&plan);
-        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
-        assert!(matches!(err, JournalError::Corrupt { seq: 0, .. }), "{err}");
-    }
-
-    #[test]
-    fn explicit_rung_zero_fingerprint_matches_a_legacy_empty_header() {
-        // A fingerprint that spells out rung 0 for every component is the
-        // same resolution as the empty fingerprint.
-        let all_zero: Vec<(String, u8)> = vec![("prior".to_owned(), 0), ("cost-model".to_owned(), 0)];
-        assert!(rungs_match(&[], &all_zero));
-        assert!(rungs_match(&all_zero, &[]));
-        assert!(!rungs_match(&[("prior".to_owned(), 1)], &all_zero));
-        assert!(!rungs_match(&[], &[("sampler".to_owned(), 1)]));
-    }
-
-    /// A tuner that delegates to [`RandomTuner`] but reports degraded
-    /// component health, standing in for a Glimpse run on fallback rungs.
-    struct DegradedTuner(RandomTuner);
 
     impl Tuner for DegradedTuner {
         fn name(&self) -> &str {
@@ -1156,29 +1018,117 @@ mod tests {
         }
 
         fn tune(&mut self, ctx: TuneContext<'_>) -> TuningOutcome {
-            let mut outcome = self.0.tune(ctx);
-            let mut health = glimpse_supervise::HealthReport::healthy();
-            health.demote(
-                glimpse_supervise::health::Component::Prior,
-                1,
-                glimpse_supervise::health::HealthCause::ChecksumMismatch,
-            );
-            outcome.health = Some(health);
+            let mut outcome = RandomTuner.tune(ctx);
+            outcome.health = Some(self.0.clone());
             outcome
         }
+
+        fn health(&self) -> Option<&HealthReport> {
+            Some(&self.0)
+        }
+    }
+
+    #[test]
+    fn resume_under_a_different_rung_set_is_refused() {
+        let dir = temp_dir("rung_mismatch");
+        let (task, space, plan) = fixture();
+        let crash = StorageFaults {
+            crash_at_seq: Some(3),
+            ..StorageFaults::none()
+        };
+        let spec = CheckpointSpec::new(&dir).with_storage(crash);
+        let budget = Budget::measurements(10);
+        let mut m = measurer(&plan);
+        let _ = run_supervised(
+            &mut DegradedTuner::prior_fallback(),
+            &spec,
+            &task,
+            &space,
+            &mut m,
+            budget,
+            3,
+            &RunControl::none(),
+        );
+        // Resuming with every component learned must refuse: the journaled
+        // prefix was produced by a different strategy.
+        let spec = CheckpointSpec::new(&dir).resuming(true);
+        let mut healthy = DegradedTuner(HealthReport::healthy());
+        let mut m = measurer(&plan);
+        let err = run_supervised(&mut healthy, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
+        assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
+        // Resuming under the recorded fallbacks continues fine.
+        let mut m = measurer(&plan);
+        let outcome = run_supervised(
+            &mut DegradedTuner::prior_fallback(),
+            &spec,
+            &task,
+            &space,
+            &mut m,
+            budget,
+            3,
+            &RunControl::none(),
+        )
+        .unwrap()
+        .outcome;
+        assert_eq!(outcome.measurements, 10);
+    }
+
+    #[test]
+    fn faulted_journal_resumed_on_a_clean_measurer_is_refused() {
+        let dir = temp_dir("fault_mismatch");
+        let (task, space, plan) = fixture();
+        let crash = StorageFaults {
+            crash_at_seq: Some(3),
+            ..StorageFaults::none()
+        };
+        let budget = Budget::measurements(10);
+        let mut m = measurer(&plan);
+        let spec = CheckpointSpec::new(&dir).with_storage(crash);
+        let _ = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none());
+        // The header took the fault plan from the measurer; a clean channel
+        // to the same GPU is a different run.
+        let mut clean = Measurer::new(database::find("Titan Xp").unwrap().clone(), 7);
+        let spec = CheckpointSpec::new(&dir).resuming(true);
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut clean, budget, 3, &RunControl::none()).unwrap_err();
+        assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
+    }
+
+    #[test]
+    fn header_without_fallbacks_is_refused_as_corrupt() {
+        let dir = temp_dir("no_fallbacks");
+        let (task, space, plan) = fixture();
+        let spec = CheckpointSpec::new(&dir);
+        let budget = Budget::measurements(5);
+        let mut m = measurer(&plan);
+        run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap();
+        // Rewrite the journal as its header frame with the field dropped,
+        // the shape of a header written before the field existed. The
+        // cell's complete.json stays: it is not trusted past the header.
+        let path = dir.join(JOURNAL_FILE);
+        let frames = glimpse_durable::scan(&std::fs::read(&path).unwrap(), 0).frames;
+        let header = String::from_utf8(frames[0].payload.clone()).unwrap();
+        let stripped = header.replace("\"fallbacks\":[],", "");
+        assert_ne!(stripped, header, "fixture header carries an empty fallback list");
+        std::fs::remove_file(&path).unwrap();
+        let mut writer = glimpse_durable::WalWriter::create(&path).unwrap();
+        writer.append(stripped.as_bytes()).unwrap();
+        writer.sync().unwrap();
+        assert!(load_complete(&dir).unwrap().is_some());
+
+        let spec = spec.resuming(true);
+        let mut m = measurer(&plan);
+        let err = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none()).unwrap_err();
+        assert!(matches!(err, JournalError::Corrupt { seq: 0, .. }), "{err}");
     }
 
     #[test]
     fn full_budget_run_on_fallback_rungs_settles_degraded_but_complete() {
         let dir = temp_dir("fallback_settle");
         let (task, space, plan) = fixture();
-        let rungs = vec![("prior".to_owned(), 1u8)];
-        let spec = CheckpointSpec::new(&dir)
-            .with_faults(plan.seed, plan.default_rates)
-            .with_rungs(&rungs);
+        let spec = CheckpointSpec::new(&dir);
         let mut m = measurer(&plan);
         let supervised = run_supervised(
-            &mut DegradedTuner(RandomTuner::new()),
+            &mut DegradedTuner::prior_fallback(),
             &spec,
             &task,
             &space,
@@ -1189,14 +1139,14 @@ mod tests {
         )
         .unwrap();
         assert_eq!(supervised.status, CellStatus::Degraded(Degradation::ComponentFallback));
-        assert_eq!(supervised.outcome.measurements, 6, "a fallback rung still runs the full budget");
+        assert_eq!(supervised.outcome.measurements, 6, "a fallback still runs the full budget");
         assert!(load_complete(&dir).unwrap().is_some(), "fallback cells are finished, not resumable");
         // Resuming the finished cell re-reports the same status from the
         // stored outcome without re-measuring.
         let spec = spec.resuming(true);
         let mut m2 = measurer(&plan);
         let again = run_supervised(
-            &mut DegradedTuner(RandomTuner::new()),
+            &mut DegradedTuner::prior_fallback(),
             &spec,
             &task,
             &space,
@@ -1218,7 +1168,7 @@ mod tests {
         let (task, space, plan) = fixture();
         // Simulate a crash mid-header append: a few junk bytes, no frame.
         std::fs::write(dir.join(JOURNAL_FILE), b"\x05\x00").unwrap();
-        let spec = CheckpointSpec::new(&dir).with_faults(plan.seed, plan.default_rates).resuming(true);
+        let spec = CheckpointSpec::new(&dir).resuming(true);
         let budget = Budget::measurements(5);
         let mut m = measurer(&plan);
         let outcome = run_supervised(&mut RandomTuner, &spec, &task, &space, &mut m, budget, 3, &RunControl::none())

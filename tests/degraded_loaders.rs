@@ -227,8 +227,8 @@ fn malformed_bundle_edits() -> Vec<(&'static str, BundleEdit)> {
 }
 
 /// A bundle whose CRC verifies but whose shapes do not fit together is
-/// rejected at load, so the ladder degrades it and a tune spends its whole
-/// budget on the fallback rungs instead of panicking mid-search. The
+/// rejected at load, so every component falls back and a tune spends its
+/// whole budget on the fallbacks instead of panicking mid-search. The
 /// unsealed decoder behind the bench cache rejects it too. The unedited
 /// bundle passes the same shape check.
 #[test]
@@ -262,7 +262,7 @@ fn malformed_bundle_with_valid_crc_is_rejected_and_tunes_degraded() {
         assert!(resolved.artifacts.is_none(), "{name}");
         for component in [Component::Prior, Component::Acquisition, Component::Sampler] {
             let report = resolved.health.get(component).expect("component listed");
-            assert_eq!(report.health.cause(), Some(&HealthCause::Undecodable), "{name}: {component:?}");
+            assert_eq!(report.cause, Some(HealthCause::Undecodable), "{name}: {component:?}");
         }
         let mut measurer = Measurer::new(gpu.clone(), 7);
         let ctx = TuneContext::new(task, &space, &mut measurer, Budget::measurements(16), 7);

@@ -53,8 +53,7 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 fn spec(dir: &Path) -> CheckpointSpec<'_> {
-    let p = plan();
-    CheckpointSpec::new(dir).resuming(true).with_faults(p.seed, p.default_rates)
+    CheckpointSpec::new(dir).resuming(true)
 }
 
 /// Runs to completion in `dir`, crashing (and resuming) at each sequence
@@ -245,11 +244,11 @@ fn every_trial_boundary_cancel_resumes_byte_identically() {
     }
 }
 
-/// Kill/resume under every degraded ladder rung: a Glimpse run whose
+/// Kill/resume under every component fallback: a Glimpse run whose
 /// learned components fell back (singly or wholesale) must keep the
 /// byte-identical-journal contract — fallbacks are deterministic functions
-/// of (seed, history), and the rung fingerprint in the header pins the
-/// resume to the same ladder state.
+/// of (seed, history), and the fallback names the header takes from the
+/// tuner pin the resume to the same health.
 mod degraded {
     use super::*;
     use glimpse_repro::core::artifacts::{GlimpseArtifacts, TrainingOptions};
@@ -273,8 +272,9 @@ mod degraded {
         })
     }
 
-    /// The rung set under test: every component degraded (lost bundle), or
-    /// one injected component fallback on an otherwise healthy bundle.
+    /// The fallback set under test: every component degraded (lost
+    /// bundle), or one injected component fallback on an otherwise healthy
+    /// bundle.
     fn resolved_for(component: Option<Component>) -> ResolvedArtifacts {
         match component {
             None => ResolvedArtifacts::fallback(HealthCause::ArtifactMissing),
@@ -283,13 +283,12 @@ mod degraded {
     }
 
     /// Like [`run_with_kills`], but driving the Glimpse tuner under a fixed
-    /// degraded rung set, with the rung fingerprint pinned in the header.
+    /// degraded resolution, whose fallbacks the header pins.
     fn run_degraded_with_kills(dir: &Path, resolved: &ResolvedArtifacts, kills: &[u64]) -> TuningOutcome {
         let model = models::alexnet();
         let task = &model.tasks()[2];
         let space = templates::space_for_task(task);
         let gpu = database::find("Titan Xp").unwrap();
-        let rungs = resolved.health.rung_fingerprint();
         for &kill in kills {
             let storage = StorageFaults {
                 crash_at_seq: Some(kill),
@@ -299,7 +298,7 @@ mod degraded {
             let mut tuner = GlimpseTuner::from_resolved(resolved, gpu, GlimpseConfig::default());
             let err = run_supervised(
                 &mut tuner,
-                &spec(dir).with_storage(storage).with_rungs(&rungs),
+                &spec(dir).with_storage(storage),
                 task,
                 &space,
                 &mut m,
@@ -317,7 +316,7 @@ mod degraded {
         let mut tuner = GlimpseTuner::from_resolved(resolved, gpu, GlimpseConfig::default());
         run_supervised(
             &mut tuner,
-            &spec(dir).with_rungs(&rungs),
+            &spec(dir),
             task,
             &space,
             &mut m,
@@ -348,8 +347,9 @@ mod degraded {
         set_default_threads(0);
     }
 
-    /// Each rung set: all-fallback plus every single-component injection.
-    fn all_rung_sets() -> Vec<(Option<Component>, &'static str)> {
+    /// Each fallback set: all-fallback plus every single-component
+    /// injection.
+    fn all_fallback_sets() -> Vec<(Option<Component>, &'static str)> {
         vec![
             (None, "all"),
             (Some(Component::BlueprintCodec), "codec"),
@@ -362,20 +362,20 @@ mod degraded {
 
     #[test]
     fn degraded_rungs_kill_resume_byte_identically_single_thread() {
-        for (component, tag) in all_rung_sets() {
+        for (component, tag) in all_fallback_sets() {
             degraded_kill_resume_sweep(1, component, &format!("deg1-{tag}"));
         }
     }
 
     #[test]
     fn degraded_rungs_kill_resume_byte_identically_multi_thread() {
-        for (component, tag) in all_rung_sets() {
+        for (component, tag) in all_fallback_sets() {
             degraded_kill_resume_sweep(8, component, &format!("deg8-{tag}"));
         }
     }
 
-    /// Resuming a journal recorded under one rung set with a tuner on a
-    /// different rung set is a typed refusal, not a silent divergence.
+    /// Resuming a journal recorded under one fallback set with a tuner on
+    /// a different one is a typed refusal, not a silent divergence.
     #[test]
     fn resume_under_a_different_rung_set_is_refused() {
         set_default_threads(1);
@@ -386,18 +386,17 @@ mod degraded {
         let space = templates::space_for_task(task);
         let gpu = database::find("Titan Xp").unwrap();
         // Crash a degraded run mid-journal, leaving a resumable cell whose
-        // header pins the all-fallback rung set.
+        // header pins every component on its fallback.
         {
             let storage = StorageFaults {
                 crash_at_seq: Some(3),
                 ..StorageFaults::none()
             };
-            let rungs = degraded.health.rung_fingerprint();
             let mut m = measurer();
             let mut tuner = GlimpseTuner::from_resolved(&degraded, gpu, GlimpseConfig::default());
             let err = run_supervised(
                 &mut tuner,
-                &spec(&dir).with_storage(storage).with_rungs(&rungs),
+                &spec(&dir).with_storage(storage),
                 task,
                 &space,
                 &mut m,
@@ -408,15 +407,14 @@ mod degraded {
             .expect_err("injected crash must surface");
             assert!(matches!(err, JournalError::SimulatedCrash { .. }), "{err}");
         }
-        // Re-opening the interrupted journal with an all-healthy
-        // fingerprint must be refused.
+        // Re-opening the interrupted journal with an all-healthy tuner must
+        // be refused.
         let healthy = ResolvedArtifacts::healthy(artifacts().clone());
-        let rungs = healthy.health.rung_fingerprint();
         let mut m = measurer();
         let mut tuner = GlimpseTuner::from_resolved(&healthy, gpu, GlimpseConfig::default());
         let err = run_supervised(
             &mut tuner,
-            &spec(&dir).with_rungs(&rungs),
+            &spec(&dir),
             task,
             &space,
             &mut m,
@@ -424,7 +422,7 @@ mod degraded {
             SEED,
             &RunControl::none(),
         )
-        .expect_err("rung mismatch must refuse the resume");
+        .expect_err("a fallback mismatch must refuse the resume");
         assert!(matches!(err, JournalError::HeaderMismatch { .. }), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
         set_default_threads(0);

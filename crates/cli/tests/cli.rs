@@ -135,3 +135,29 @@ fn doctor_over_an_unsealed_bundle_verifies_nothing() {
         "stdout: {text}"
     );
 }
+
+#[test]
+fn completed_cell_resumed_as_a_different_run_is_refused() {
+    // A finished cell is still held to the header of the run resuming it:
+    // its stored outcome is not that run's outcome.
+    let dir = std::env::temp_dir().join(format!("glimpse-cli-resume-mismatch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tune = |tuner: &str, budget: &str, resume: bool| {
+        let mut cmd = glimpse();
+        cmd.args(["tune", "alexnet", "Titan Xp", "--tuner", tuner, "--budget", budget, "--task", "2"])
+            .arg("--checkpoint-dir")
+            .arg(&dir);
+        if resume {
+            cmd.arg("--resume");
+        }
+        cmd.output().expect("spawn")
+    };
+    let first = tune("random", "24", false);
+    assert!(first.status.success(), "stderr: {}", String::from_utf8_lossy(&first.stderr));
+    assert!(dir.join("task2/complete.json").exists());
+    let resumed = tune("autotvm", "48", true);
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(!resumed.status.success(), "stdout: {}", String::from_utf8_lossy(&resumed.stdout));
+    assert!(stderr.contains("journal belongs to a different run (tuner:"), "stderr: {stderr}");
+}

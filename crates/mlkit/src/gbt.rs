@@ -9,19 +9,25 @@
 //! column-major matrix and stable-sorts every column once into `u32` row
 //! orders. While a tree grows, each node owns the same `[lo, hi)` segment of
 //! every column order (plus one segment in row-index order, over which the
-//! leaf mean is summed); a split stably partitions every segment in place
-//! through one reusable scratch buffer. A stable partition of a stable
-//! presort is exactly the order a per-node stable sort would produce, so the
-//! split search sees the same sequence — and sums in the same order — as
-//! sorting `(value, target)` pairs at every node, without the sort.
+//! leaf mean is summed); a split stably partitions every segment in place.
+//! The partition is branch-free: each row is written both to the next left
+//! slot of its segment and to the next right slot of a rows-sized scratch
+//! buffer, and only its own side's cursor advances by the row's side bit.
+//! A stable partition of a stable presort is exactly the order a per-node
+//! stable sort would produce, so the split search sees the same sequence —
+//! and sums in the same order — as sorting `(value, target)` pairs at every
+//! node, without the sort.
 //!
 //! **Split search.** One sweep per (node, feature) over the sorted segment
 //! keeps only the cumulative `(value, count, sum, sum²)` record at the end of
-//! each run of equal values; the candidate thresholds are midpoints between
-//! consecutive runs, strided so at most ~16 are scored, each in O(1). The
-//! sweeps run inline, one feature after another, sharing one run buffer:
-//! the tree builder never spawns threads, so the fitted ensemble is the same
-//! at every thread count.
+//! each run of equal values. The current run's first value and the running
+//! sums stay in locals; a record is written only where a row's value is not
+//! `==` to the run's, so `-0.0` and `0.0` share a run and every NaN is a run
+//! of its own. The candidate thresholds are midpoints between consecutive
+//! runs, strided so at most ~16 are scored, each in O(1); only the winner's
+//! midpoint is computed. The sweeps run inline, one feature after another,
+//! sharing one run buffer: the tree builder never spawns threads, so the
+//! fitted ensemble is the same at every thread count.
 //!
 //! **Flat forests.** Every tree is stored complete to `D = max_depth`: its
 //! `2^D − 1` splits in heap order (node `i`'s children are `2i + 1` and
@@ -30,10 +36,11 @@
 //! node. A leaf that growth reaches above depth `D` fills every leaf of its
 //! subtree with its value, under padding splits that may go either way. A
 //! prediction walks exactly `D` levels per tree with no data-dependent
-//! branch, `i = 2i + 2 − [x[f] <= t]`, so the walks of successive trees
-//! overlap instead of each waiting on its compares. At the default depth 4
-//! a tree takes 308 bytes. [`MAX_DEPTH`] caps the depth, because the layout
-//! grows as `2^D` whether or not a tree fills it.
+//! branch, `i = 2i + 2 − [x[f] <= t]`, eight trees level by level in
+//! lockstep so their walks overlap, and adds the leaves to the sum in tree
+//! order. At the default depth 4 a tree takes 308 bytes. [`MAX_DEPTH`] caps
+//! the depth, because the layout grows as `2^D` whether or not a tree fills
+//! it.
 //!
 //! [`Gbt::fit_incremental`] warm-starts boosting from an existing forest:
 //! new trees are fitted to the residuals of the current predictions, so a
@@ -95,6 +102,9 @@ pub struct Gbt {
     leaves: Vec<f64>,
     params: GbtParams,
 }
+
+/// Trees one prediction walks in lockstep.
+const WALK_LANES: usize = 8;
 
 /// Minimum batch size before predictions fan out across workers.
 const PARALLEL_PREDICT_ROWS: usize = 256;
@@ -197,26 +207,41 @@ impl Gbt {
         }
     }
 
-    /// Predicted value at `x`: each tree walks its `D` levels, and the
-    /// leaves are summed in tree order.
+    /// Predicted value at `x`: each tree walks its `D` levels, eight trees
+    /// in lockstep, and the leaves are summed in tree order.
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> f64 {
+        let trees = self.len();
+        let grouped = trees - trees % WALK_LANES;
+        // Start from `Iterator::sum`'s own start value: the sum's bits are
+        // those of a `.sum()` over the trees' leaves.
+        let mut sum = std::iter::empty::<f64>().sum::<f64>();
+        for first in (0..grouped).step_by(WALK_LANES) {
+            for leaf in self.walk::<WALK_LANES>(x, first) {
+                sum += leaf;
+            }
+        }
+        for tree in grouped..trees {
+            sum += self.walk::<1>(x, tree)[0];
+        }
+        self.base + self.params.learning_rate * sum
+    }
+
+    /// The leaf values of trees `first..first + K` at `x`, walked level by
+    /// level in lockstep so the `K` independent walks overlap.
+    fn walk<const K: usize>(&self, x: &[f64], first: usize) -> [f64; K] {
         let depth = self.params.max_depth;
         let (splits, leaves) = tree_size(depth);
-        let sum = (0..self.len())
-            .map(|tree| {
-                let features = &self.features[tree * splits..(tree + 1) * splits];
-                let thresholds = &self.thresholds[tree * splits..(tree + 1) * splits];
-                let mut i = 0;
-                for _ in 0..depth {
-                    let value = x[(features[i] & !PADDING) as usize];
-                    // Left child `2i + 1` if `x[f] <= t`, else right; NaN goes right.
-                    i = 2 * i + 2 - usize::from(value <= thresholds[i]);
-                }
-                self.leaves[tree * leaves + i - splits]
-            })
-            .sum::<f64>();
-        self.base + self.params.learning_rate * sum
+        let mut node = [0usize; K];
+        for _ in 0..depth {
+            for (k, i) in node.iter_mut().enumerate() {
+                let at = (first + k) * splits + *i;
+                let value = x[(self.features[at] & !PADDING) as usize];
+                // Left child `2i + 1` if `x[f] <= t`, else right; NaN goes right.
+                *i = 2 * *i + 2 - usize::from(value <= self.thresholds[at]);
+            }
+        }
+        std::array::from_fn(|k| self.leaves[(first + k) * leaves + node[k] - splits])
     }
 
     /// Predicted values for a batch of rows, fanned out across worker
@@ -243,12 +268,10 @@ impl Gbt {
         self.leaves.is_empty()
     }
 
-    /// The root split of tree `t` as `(feature, threshold)`, if it split.
-    /// Diagnostic hook used by the split-search equivalence tests and the
-    /// throughput harness; not part of the modeling API.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn root_split(&self, t: usize) -> Option<(usize, f64)> {
+    /// The root split of tree `t` as `(feature, threshold)`, if it split,
+    /// for the split-search equivalence tests.
+    #[cfg(test)]
+    fn root_split(&self, t: usize) -> Option<(usize, f64)> {
         let root = t * tree_size(self.params.max_depth).0;
         let feature = *self.features.get(root)?;
         (feature & PADDING == 0).then(|| (feature as usize, self.thresholds[root]))
@@ -307,7 +330,7 @@ struct TreeBuilder<'p> {
     by_row: Vec<u32>,
     /// Per-row side of the split being applied.
     goes_left: Vec<bool>,
-    /// Right-hand rows of a segment being partitioned.
+    /// Right-hand rows of a segment being partitioned, one slot per row.
     scratch: Vec<u32>,
     /// Run-end records of the split sweep, shared by every feature.
     runs: Vec<RunEnd>,
@@ -343,7 +366,7 @@ impl<'p> TreeBuilder<'p> {
             presorted,
             by_row: identity,
             goes_left: vec![false; rows],
-            scratch: Vec::with_capacity(rows),
+            scratch: vec![0; rows],
             runs: Vec::new(),
             fitted: vec![0.0; rows],
         }
@@ -441,19 +464,23 @@ impl<'p> TreeBuilder<'p> {
 
 /// Moves the rows of `segment` with `goes_left[row]` to its front, both
 /// halves keeping their order; returns how many went left.
-fn stable_partition(segment: &mut [u32], goes_left: &[bool], scratch: &mut Vec<u32>) -> usize {
-    scratch.clear();
-    let mut left = 0;
+///
+/// Branch-free: every row is written both to the next left slot of
+/// `segment` and to the next right slot of `scratch` (at least as long as
+/// `segment`), and only the side it belongs to advances. The left slot
+/// never passes the row being read, so no unread row is overwritten.
+fn stable_partition(segment: &mut [u32], goes_left: &[bool], scratch: &mut [u32]) -> usize {
+    let scratch = &mut scratch[..segment.len()];
+    let (mut left, mut right) = (0, 0);
     for i in 0..segment.len() {
         let row = segment[i];
-        if goes_left[row as usize] {
-            segment[left] = row;
-            left += 1;
-        } else {
-            scratch.push(row);
-        }
+        let side = usize::from(goes_left[row as usize]);
+        segment[left] = row;
+        scratch[right] = row;
+        left += side;
+        right += 1 - side;
     }
-    segment[left..].copy_from_slice(scratch);
+    segment[left..].copy_from_slice(&scratch[..right]);
     left
 }
 
@@ -475,49 +502,53 @@ struct RunEnd {
 /// node's rows in sorted order (`order`), keeping only run-end
 /// `(value, count, sum, sum²)` records in `runs`.
 ///
-/// Candidate thresholds are midpoints between consecutive distinct values,
-/// strided so at most ~16 are scored, each in O(1).
+/// The current run's first value and the running sums live in locals; a
+/// record is pushed only when a row's value is not `==` to the run's, so a
+/// NaN is a run of its own. Candidate thresholds are midpoints between
+/// consecutive distinct values, strided so at most ~16 are scored, each in
+/// O(1).
 fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>) -> Option<(f64, f64)> {
     runs.clear();
+    let (&first, rest) = order.split_first()?;
+    let t = targets[first as usize];
+    // The sums start at `0.0`, not at `t`: `0.0 + -0.0` is `0.0`.
     let (mut sum, mut sq) = (0.0f64, 0.0f64);
-    for (i, &row) in order.iter().enumerate() {
+    sum += t;
+    sq += t * t;
+    let mut value = values[first as usize];
+    for (i, &row) in (1..).zip(rest) {
         let (v, t) = (values[row as usize], targets[row as usize]);
+        if v != value {
+            runs.push(RunEnd { value, count: i, sum, sq });
+            value = v;
+        }
         sum += t;
         sq += t * t;
-        match runs.last_mut() {
-            Some(run) if run.value == v => {
-                run.count = i + 1;
-                run.sum = sum;
-                run.sq = sq;
-            }
-            _ => runs.push(RunEnd {
-                value: v,
-                count: i + 1,
-                sum,
-                sq,
-            }),
-        }
     }
-    if runs.len() < 2 {
+    if runs.is_empty() {
         return None;
     }
     let n = order.len();
+    runs.push(RunEnd { value, count: n, sum, sq });
     let (total_sum, total_sq) = (sum, sq);
     let parent_sse = total_sq - total_sum * total_sum / n as f64;
     let step = (runs.len() / 16).max(1);
-    let mut best: Option<(f64, f64)> = None;
-    for j in (0..runs.len() - 1).step_by(step) {
-        let (left, next) = (runs[j], runs[j + 1]);
-        let threshold = (left.value + next.value) / 2.0;
+    let gain = |left: &RunEnd| {
         let left_sse = left.sq - left.sum * left.sum / left.count as f64;
         let right_sum = total_sum - left.sum;
         let right_sse = (total_sq - left.sq) - right_sum * right_sum / (n - left.count) as f64;
-        let gain = parent_sse - (left_sse + right_sse);
-        if best.is_none_or(|(_, g)| gain > g) {
-            best = Some((threshold, gain));
+        parent_sse - (left_sse + right_sse)
+    };
+    // The first candidate is taken even if its gain is NaN; a later one
+    // only if it gains strictly more.
+    let (mut best, mut best_gain) = (0, gain(&runs[0]));
+    for j in (step..runs.len() - 1).step_by(step) {
+        let g = gain(&runs[j]);
+        if g > best_gain {
+            (best, best_gain) = (j, g);
         }
     }
-    best
+    Some(((runs[best].value + runs[best + 1].value) / 2.0, best_gain))
 }
 
 #[cfg(test)]
@@ -1050,6 +1081,125 @@ mod tests {
         (xs, ys)
     }
 
+    /// Fits `params` (then grows `warm_trees` more) with the presorted
+    /// builder at 1, 2 and 8 workers and with the per-node-sort reference,
+    /// and asserts every root split and every training prediction agree to
+    /// the bit.
+    fn assert_matches_reference(xs: &[Vec<f64>], ys: &[f64], params: GbtParams, warm_trees: usize, seed: u64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let reference = reference::Forest::fit(xs, ys, params, &mut rng);
+        let reference_grown = reference.fit_incremental(xs, ys, warm_trees, &mut rng);
+        for threads in [1, 2, 8] {
+            crate::parallel::set_default_threads(threads);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let fitted = Gbt::fit(xs, ys, params, &mut rng);
+            let grown = fitted.fit_incremental(xs, ys, warm_trees, &mut rng);
+            crate::parallel::set_default_threads(0);
+            for (ours, theirs) in [(&fitted, &reference), (&grown, &reference_grown)] {
+                assert_eq!(ours.len(), theirs.len());
+                for t in 0..ours.len() {
+                    let bits = |split: Option<(usize, f64)>| split.map(|(f, threshold)| (f, threshold.to_bits()));
+                    assert_eq!(bits(ours.root_split(t)), bits(theirs.root_split(t)), "tree {t}");
+                }
+                for x in xs {
+                    assert_eq!(ours.predict(x).to_bits(), theirs.predict(x).to_bits());
+                }
+            }
+        }
+    }
+
+    /// One case of the builder-vs-reference property: `mixed_columns` rows,
+    /// with shallow depths and a large `min_samples_split` stopping trees
+    /// early, down to leaf roots. Forests of 1 to 15 trees are walked both
+    /// in lockstep groups and one by one.
+    fn matches_reference_case(rows: usize, seed: u64, max_depth: usize, split_rule: usize, non_finite: bool, trees: usize) {
+        let min_samples_split = [2, 4, rows / 2, rows + 1][split_rule];
+        let (xs, ys) = mixed_columns(rows, seed, non_finite);
+        let params = GbtParams {
+            trees,
+            max_depth,
+            min_samples_split,
+            feature_fraction: 0.8,
+            ..GbtParams::default()
+        };
+        assert_matches_reference(&xs, &ys, params, 3, seed);
+    }
+
+    #[test]
+    fn stable_partition_matches_iterator_partition() {
+        let goes_left: Vec<bool> = (0..12).map(|row| row % 3 != 1).collect();
+        let segments: [Vec<u32>; 6] = [
+            vec![],
+            vec![4],
+            vec![0, 2, 3, 5, 9],
+            vec![1, 4, 7, 10],
+            vec![11, 1, 0, 4, 6, 7, 2, 10],
+            (0..12).rev().collect(),
+        ];
+        for segment in segments {
+            let (left, right): (Vec<u32>, Vec<u32>) = segment.iter().partition(|&&row| goes_left[row as usize]);
+            let mut ours = segment.clone();
+            let mut scratch = vec![u32::MAX; segment.len()];
+            let mid = stable_partition(&mut ours, &goes_left, &mut scratch);
+            assert_eq!(mid, left.len(), "{segment:?}");
+            assert_eq!(ours, [left, right].concat(), "{segment:?}");
+        }
+    }
+
+    #[test]
+    fn sweep_matches_two_pass_reference_on_non_finite_columns() {
+        // Each column pairs NaN, ±0 or ±∞ with finite values; the targets
+        // step at a finite midpoint. (The sweep also scores the midpoints
+        // next to +∞ and NaN, which are +∞ or NaN; the two-pass search
+        // skips those, as their threshold sends every row one way.)
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let columns: [(&[f64], &[f64]); 5] = [
+            (
+                &[-0.0, 0.0, -0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
+                &[0.0, 0.0, 0.0, 5.0, 9.0, 0.0, 5.0, 9.0],
+            ),
+            (&[nan, 1.0, nan, 2.0, 3.0, 1.0], &[10.0, 0.0, 10.0, 0.0, 10.0, 0.0]),
+            (&[-inf, -1.0, -0.0, 0.0, 1.0, inf, 1.0], &[0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0]),
+            (&[-inf, 0.0, -0.0, nan, inf, 2.0, -inf], &[1.0, 1.0, 1.0, 7.0, 7.0, 7.0, 1.0]),
+            (&[nan, nan, 0.0, -0.0, 5.0], &[3.0, 3.0, 0.0, 0.0, 8.0]),
+        ];
+        for (column, targets) in columns {
+            let xs: Vec<Vec<f64>> = column.iter().map(|&v| vec![v]).collect();
+            let indices: Vec<usize> = (0..xs.len()).collect();
+            let ours = prefix_sum_best_split(&xs, targets, &indices, 0);
+            let theirs = two_pass_best_split(&xs, targets, &indices, 0);
+            let (Some((ot, og)), Some((tt, tg))) = (ours, theirs) else {
+                panic!("{column:?}: {ours:?} vs {theirs:?}");
+            };
+            assert_eq!(ot.to_bits(), tt.to_bits(), "{column:?}: thresholds");
+            assert!((og - tg).abs() < 1e-9 * tg.abs().max(1.0), "{column:?}: gains {og} vs {tg}");
+        }
+        // One value, however signed, is one run: nothing to split.
+        let xs: Vec<Vec<f64>> = [0.0, -0.0, 0.0].iter().map(|&v| vec![v]).collect();
+        assert_eq!(prefix_sum_best_split(&xs, &[1.0, 2.0, 3.0], &[0, 1, 2], 0), None);
+    }
+
+    #[test]
+    fn tuner_sized_fits_match_per_node_sort_reference() {
+        // What a tuner's surrogate fits: hundreds of rows, more than 20
+        // features, depth 4, the default feature fraction and a warm start
+        // of at least 8 trees.
+        for (rows, seed) in [(256, 1), (411, 2), (600, 3)] {
+            let (mut xs, ys) = mixed_columns(rows, seed, true);
+            let (more, _) = mixed_columns(rows, seed + 100, false);
+            for (x, extra) in xs.iter_mut().zip(more) {
+                x.extend(extra);
+            }
+            assert!(xs[0].len() >= 20);
+            let params = GbtParams {
+                trees: 12,
+                ..GbtParams::default()
+            };
+            assert_eq!((params.max_depth, params.feature_fraction), (4, 0.9));
+            assert_matches_reference(&xs, &ys, params, 8, seed);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -1060,39 +1210,30 @@ mod tests {
             max_depth in 0usize..=5,
             split_rule in 0usize..4,
             non_finite in 0u8..2,
+            trees in 1usize..=12,
         ) {
             // Row counts straddle the warm start's PARALLEL_PREDICT_ROWS, the
-            // one fan-out a fit reaches. Shallow depths and a large
-            // `min_samples_split` stop trees early, down to leaf roots.
-            let min_samples_split = [2, 4, rows / 2, rows + 1][split_rule];
-            let (xs, ys) = mixed_columns(rows, seed, non_finite == 1);
-            let params = GbtParams {
-                trees: 4,
-                max_depth,
-                min_samples_split,
-                feature_fraction: 0.8,
-                ..GbtParams::default()
-            };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let reference = reference::Forest::fit(&xs, &ys, params, &mut rng);
-            let reference_grown = reference.fit_incremental(&xs, &ys, 3, &mut rng);
-            for threads in [1, 2, 8] {
-                crate::parallel::set_default_threads(threads);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let fitted = Gbt::fit(&xs, &ys, params, &mut rng);
-                let grown = fitted.fit_incremental(&xs, &ys, 3, &mut rng);
-                crate::parallel::set_default_threads(0);
-                for (ours, theirs) in [(&fitted, &reference), (&grown, &reference_grown)] {
-                    prop_assert_eq!(ours.len(), theirs.len());
-                    for t in 0..ours.len() {
-                        let bits = |split: Option<(usize, f64)>| split.map(|(f, threshold)| (f, threshold.to_bits()));
-                        prop_assert_eq!(bits(ours.root_split(t)), bits(theirs.root_split(t)));
-                    }
-                    for x in &xs {
-                        prop_assert_eq!(ours.predict(x).to_bits(), theirs.predict(x).to_bits());
-                    }
-                }
-            }
+            // one fan-out a fit reaches.
+            matches_reference_case(rows, seed, max_depth, split_rule, non_finite == 1, trees);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The same property at 512 cases, for release builds:
+        /// `cargo test --release -p glimpse-mlkit -- --ignored`.
+        #[test]
+        #[ignore = "512 cases: run in release with --ignored"]
+        fn presorted_builder_matches_per_node_sort_reference_512_cases(
+            rows in 4usize..600,
+            seed in 0u64..1_000_000,
+            max_depth in 0usize..=5,
+            split_rule in 0usize..4,
+            non_finite in 0u8..2,
+            trees in 1usize..=12,
+        ) {
+            matches_reference_case(rows, seed, max_depth, split_rule, non_finite == 1, trees);
         }
     }
 }

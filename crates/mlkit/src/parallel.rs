@@ -27,11 +27,11 @@
 //!
 //! Requests from layers 2 and 3 are clamped to the machine's available
 //! parallelism: asking for 8 workers on a 1-core box would only add
-//! scheduling overhead to a compute-bound fan-out (the throughput harness
-//! recorded multi-thread *slower* than single under exactly that
-//! oversubscription). Only [`Threads::fixed`] bypasses the clamp — it is
-//! the call site saying it knows better (tests pinning determinism at
-//! thread counts above the core count rely on this).
+//! scheduling overhead to a compute-bound fan-out (multi-thread measured
+//! *slower* than single under exactly that oversubscription). Only
+//! [`Threads::fixed`] bypasses the clamp — it is the call site saying it
+//! knows better (tests pinning determinism at thread counts above the core
+//! count rely on this).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;

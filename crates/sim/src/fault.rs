@@ -183,8 +183,10 @@ impl StorageFaults {
 /// [`StorageFaults`] these are deterministic triggers, not probabilities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ArtifactFaults {
-    /// XOR `0xFF` into the byte at this offset (clamped to the last byte),
-    /// producing a checksum mismatch on an enveloped artifact.
+    /// Add 1 (wrapping) to the byte at this offset (clamped to the last
+    /// byte), producing a checksum mismatch on an enveloped artifact. A
+    /// resumed run that applies it again damages the byte further instead
+    /// of restoring it, as an XOR would.
     pub corrupt_at_byte: Option<u64>,
     /// Keep only this many leading bytes of the file.
     pub truncate_at_byte: Option<u64>,
@@ -238,7 +240,7 @@ impl ArtifactFaults {
         if let Some(at) = self.corrupt_at_byte {
             if !bytes.is_empty() {
                 let at = usize::try_from(at).unwrap_or(usize::MAX).min(bytes.len() - 1);
-                bytes[at] ^= 0xFF;
+                bytes[at] = bytes[at].wrapping_add(1);
             }
         }
         if self.version_bump {
@@ -620,15 +622,24 @@ mod tests {
 
         seal(&path);
         let clean = std::fs::read(&path).unwrap();
-        ArtifactFaults {
+        let corrupt = ArtifactFaults {
             corrupt_at_byte: Some(clean.len() as u64 - 1),
             ..ArtifactFaults::none()
-        }
-        .apply(&path)
-        .unwrap();
+        };
+        corrupt.apply(&path).unwrap();
         let corrupted = std::fs::read(&path).unwrap();
         assert_eq!(corrupted.len(), clean.len());
         assert_ne!(corrupted, clean);
+        let checksum_mismatch = || {
+            matches!(
+                glimpse_durable::envelope::verify_file(&path, spec),
+                glimpse_durable::envelope::Integrity::ChecksumMismatch { .. }
+            )
+        };
+        assert!(checksum_mismatch());
+        // A resumed run applies the plan again: the damage must stay.
+        corrupt.apply(&path).unwrap();
+        assert!(checksum_mismatch());
 
         seal(&path);
         ArtifactFaults {

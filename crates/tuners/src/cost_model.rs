@@ -330,7 +330,7 @@ impl GbtCostModel {
         self.model.as_ref().map_or(0, Gbt::len)
     }
 
-    /// Lifecycle counters for diagnostics and the throughput harness.
+    /// Lifecycle counters for diagnostics and tunebench's per-layer metrics.
     #[must_use]
     pub fn lifecycle(&self) -> SurrogateLifecycle {
         SurrogateLifecycle {

@@ -42,7 +42,7 @@ pub(crate) fn featurize_threads(rows: usize) -> Threads {
 }
 
 /// Hit/miss counters and current size of a [`FeatureCache`], surfaced in
-/// tuning diagnostics and the throughput harness.
+/// tuning diagnostics and tunebench's per-layer metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Lookups served from the cache.

@@ -608,10 +608,12 @@ pub fn run_supervised<T: Tuner + ?Sized>(
         if !spec.resume {
             return Err(JournalError::AlreadyExists(journal_path));
         }
-        // Recovery decodes the header first, so a cell whose header this
-        // build cannot read is refused even when it completed.
+        // Recovery decodes and compares the header first, so a cell whose
+        // header this build cannot read, or that belongs to a different
+        // run, is refused even when it completed.
         match RunJournal::resume(spec.dir, spec.storage, spec.snapshot_every)? {
             Some(run) => {
+                verify_header(&run.header, &header)?;
                 if let Some(outcome) = load_complete(spec.dir)? {
                     // A completed cell re-reports through its stored health:
                     // a run that finished on fallbacks stays Degraded.
@@ -622,7 +624,6 @@ pub fn run_supervised<T: Tuner + ?Sized>(
                         outcome,
                     });
                 }
-                verify_header(&run.header, &header)?;
                 measurer.restore_state(&run.header.start);
                 resumed = Some((run.journal, run.records));
             }

@@ -505,8 +505,10 @@ struct RunEnd {
 /// The current run's first value and the running sums live in locals; a
 /// record is pushed only when a row's value is not `==` to the run's, so a
 /// NaN is a run of its own. Candidate thresholds are midpoints between
-/// consecutive distinct values, strided so at most ~16 are scored, each in
-/// O(1).
+/// consecutive distinct values, strided so at most ~16 are considered, and
+/// each finite one is scored in O(1). A midpoint next to `+∞` or NaN is
+/// `+∞` or NaN, and `x <= +∞` or `x <= NaN` sends every row one way, so
+/// such a split would separate nothing.
 fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>) -> Option<(f64, f64)> {
     runs.clear();
     let (&first, rest) = order.split_first()?;
@@ -539,16 +541,33 @@ fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>)
         let right_sse = (total_sq - left.sq) - right_sum * right_sum / (n - left.count) as f64;
         parent_sse - (left_sse + right_sse)
     };
+    // Runs ascend in `total_cmp` order: sign-bit NaNs, -∞, finite values,
+    // +∞, other NaNs. A midpoint is not finite next to a NaN or an
+    // infinity, or where the sum overflows, which happens only at the two
+    // ends, so the boundaries with a finite midpoint form one range, `lo..hi`.
+    let midpoint = |j: usize| (runs[j].value + runs[j + 1].value) / 2.0;
+    let mut hi = runs.len() - 1;
+    while hi > 0 && !midpoint(hi - 1).is_finite() {
+        hi -= 1;
+    }
+    let mut lo = 0;
+    while lo < hi && !midpoint(lo).is_finite() {
+        lo += 1;
+    }
+    let lo = lo.next_multiple_of(step);
+    if lo >= hi {
+        return None;
+    }
     // The first candidate is taken even if its gain is NaN; a later one
     // only if it gains strictly more.
-    let (mut best, mut best_gain) = (0, gain(&runs[0]));
-    for j in (step..runs.len() - 1).step_by(step) {
+    let (mut best, mut best_gain) = (lo, gain(&runs[lo]));
+    for j in (lo + step..hi).step_by(step) {
         let g = gain(&runs[j]);
         if g > best_gain {
             (best, best_gain) = (j, g);
         }
     }
-    Some(((runs[best].value + runs[best + 1].value) / 2.0, best_gain))
+    Some((midpoint(best), best_gain))
 }
 
 #[cfg(test)]
@@ -575,8 +594,9 @@ mod tests {
         sweep(&values, &order, targets, &mut Vec::new())
     }
 
-    /// The original O(n·thresholds) two-pass split search, kept verbatim as the
-    /// reference implementation for the equivalence tests.
+    /// The original O(n·thresholds) two-pass split search, the reference
+    /// implementation for the equivalence tests. It scores only finite
+    /// thresholds, as the sweep does.
     fn two_pass_best_split(xs: &[Vec<f64>], targets: &[f64], indices: &[usize], feature: usize) -> Option<(f64, f64)> {
         let mut values: Vec<f64> = indices.iter().map(|&i| xs[i][feature]).collect();
         values.sort_by(|a, b| a.total_cmp(b));
@@ -591,6 +611,9 @@ mod tests {
         let mut best: Option<(f64, f64)> = None;
         for w in values.windows(2).step_by(step) {
             let threshold = (w[0] + w[1]) / 2.0;
+            if !threshold.is_finite() {
+                continue;
+            }
             let (mut ln, mut ls, mut rn, mut rs) = (0usize, 0.0f64, 0usize, 0.0f64);
             for &i in indices {
                 if xs[i][feature] <= threshold {
@@ -1038,6 +1061,9 @@ mod tests {
             let mut best: Option<(f64, f64)> = None;
             for j in (0..runs.len() - 1).step_by(step) {
                 let threshold = (runs[j].0 + runs[j + 1].0) / 2.0;
+                if !threshold.is_finite() {
+                    continue;
+                }
                 let p = runs[j].1;
                 let left_sum = prefix_sum[p];
                 let left_sse = prefix_sq[p] - left_sum * left_sum / p as f64;
@@ -1149,11 +1175,10 @@ mod tests {
     #[test]
     fn sweep_matches_two_pass_reference_on_non_finite_columns() {
         // Each column pairs NaN, ±0 or ±∞ with finite values; the targets
-        // step at a finite midpoint. (The sweep also scores the midpoints
-        // next to +∞ and NaN, which are +∞ or NaN; the two-pass search
-        // skips those, as their threshold sends every row one way.)
+        // step at a finite midpoint. Neither search scores a midpoint next
+        // to ±∞ or NaN: it is ±∞ or NaN, not a threshold between values.
         let (nan, inf) = (f64::NAN, f64::INFINITY);
-        let columns: [(&[f64], &[f64]); 5] = [
+        let columns: [(&[f64], &[f64]); 6] = [
             (
                 &[-0.0, 0.0, -0.0, 1.0, 2.0, 0.0, 1.0, 2.0],
                 &[0.0, 0.0, 0.0, 5.0, 9.0, 0.0, 5.0, 9.0],
@@ -1162,6 +1187,7 @@ mod tests {
             (&[-inf, -1.0, -0.0, 0.0, 1.0, inf, 1.0], &[0.0, 0.0, 0.0, 0.0, 10.0, 10.0, 10.0]),
             (&[-inf, 0.0, -0.0, nan, inf, 2.0, -inf], &[1.0, 1.0, 1.0, 7.0, 7.0, 7.0, 1.0]),
             (&[nan, nan, 0.0, -0.0, 5.0], &[3.0, 3.0, 0.0, 0.0, 8.0]),
+            (&[1.0, 2.0, inf, 1.0, 2.0, inf], &[0.0, 0.0, 10.0, 0.0, 0.0, 10.0]),
         ];
         for (column, targets) in columns {
             let xs: Vec<Vec<f64>> = column.iter().map(|&v| vec![v]).collect();
@@ -1174,6 +1200,23 @@ mod tests {
             assert_eq!(ot.to_bits(), tt.to_bits(), "{column:?}: thresholds");
             assert!((og - tg).abs() < 1e-9 * tg.abs().max(1.0), "{column:?}: gains {og} vs {tg}");
         }
+        // Where the targets step at `+∞`, the best split is the best finite
+        // one, 1.5, not the `+∞` midpoint that keeps every row left.
+        let xs: Vec<Vec<f64>> = [1.0, 2.0, inf, 1.0, 2.0, inf].iter().map(|&v| vec![v]).collect();
+        let targets = [0.0, 0.0, 10.0, 0.0, 0.0, 10.0];
+        let split = prefix_sum_best_split(&xs, &targets, &[0, 1, 2, 3, 4, 5], 0);
+        assert_eq!(split.map(|(threshold, _)| threshold), Some(1.5));
+        let params = GbtParams {
+            trees: 1,
+            max_depth: 1,
+            feature_fraction: 1.0,
+            ..GbtParams::default()
+        };
+        let gbt = Gbt::fit(&xs, &targets, params, &mut StdRng::seed_from_u64(0));
+        assert_eq!(gbt.root_split(0).map(|(_, threshold)| threshold), Some(1.5));
+        // Only a non-finite boundary: nothing to split.
+        let xs: Vec<Vec<f64>> = [1.0, inf, nan].iter().map(|&v| vec![v]).collect();
+        assert_eq!(prefix_sum_best_split(&xs, &[0.0, 10.0, 5.0], &[0, 1, 2], 0), None);
         // One value, however signed, is one run: nothing to split.
         let xs: Vec<Vec<f64>> = [0.0, -0.0, 0.0].iter().map(|&v| vec![v]).collect();
         assert_eq!(prefix_sum_best_split(&xs, &[1.0, 2.0, 3.0], &[0, 1, 2], 0), None);

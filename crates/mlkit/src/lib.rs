@@ -8,8 +8,9 @@
 //! * [`mlp`] — light-weight, weight-only multi-layer perceptrons for the
 //!   prior-distribution generator `H` and the neural acquisition function,
 //!   and the [`mlp::Adam`] optimizer that trains them offline on flat
-//!   row-major mini-batches through the same layer kernel as
-//!   [`Mlp::predict`].
+//!   row-major mini-batches; every product, in [`Mlp::predict`] and in
+//!   training, goes through one register-blocked multiply-accumulate
+//!   kernel.
 //! * [`gp`] — Gaussian-process regression for the DGP baseline (Sun et al.).
 //! * [`gbt`] — gradient-boosted regression trees, the AutoTVM-style
 //!   surrogate cost model.

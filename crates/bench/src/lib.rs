@@ -11,7 +11,7 @@
 //! artifact: `--bin checkpoint` (WAL append under 5 % of a round) and
 //! `--bin degradation` (envelope verification under 1 % of a round). Per-layer
 //! host timings (SA, surrogate fit and predict, sampler vote, prior sampling,
-//! the simulator, journal append/snapshot/resume) come from `tunebench`, the
+//! the simulator, journal append/fsync/resume) come from `tunebench`, the
 //! standalone benchmark package at the repository root.
 
 #![forbid(unsafe_code)]

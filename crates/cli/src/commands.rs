@@ -74,9 +74,9 @@ glimpse — hardware-aware neural compilation (DAC'22 reproduction)
 
 Results are bit-identical for a fixed seed at any --threads value, and a
 checkpointed run resumed after a crash replays to the same result. SIGINT or
-SIGTERM stops at the next trial boundary, flushes the journal and snapshot,
-writes the degradation report, and exits 0 with a resume command; a second
-signal hard-exits immediately.
+SIGTERM stops at the next trial boundary, fsyncs the journal, writes the
+degradation report, and exits 0 with a resume command; a second signal
+hard-exits immediately.
 ";
 
 /// `glimpse gpus`
@@ -1373,6 +1373,8 @@ mod tests {
 
     #[test]
     fn tune_past_deadline_degrades_and_writes_the_report() {
+        use glimpse_sim::StorageFaults;
+        use glimpse_tuners::journal::{RunJournal, DEFAULT_SNAPSHOT_EVERY, JOURNAL_FILE};
         let dir = std::env::temp_dir().join("glimpse-cli-deadline-test");
         let _ = std::fs::remove_dir_all(&dir);
         let args: Vec<String> = [
@@ -1394,9 +1396,15 @@ mod tests {
         .collect();
         tune(&args).unwrap();
         // A zero deadline stops the cell before its first trial completes:
-        // the journal stays resumable (snapshot, no completion marker)...
-        assert!(!dir.join("task2").join("complete.json").exists());
-        assert!(dir.join("task2").join("snapshot.json").exists());
+        // the cell holds only its resumable WAL, no completion marker...
+        let cell = dir.join("task2");
+        let files: Vec<String> = std::fs::read_dir(&cell)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(files, [JOURNAL_FILE]);
+        let run = RunJournal::resume(&cell, StorageFaults::none(), DEFAULT_SNAPSHOT_EVERY).unwrap();
+        assert_eq!(run.expect("the header frame is durable").records.len(), 0);
         // ...and the degradation report records the typed status.
         let report = std::fs::read_to_string(dir.join("degradation.json")).unwrap();
         assert!(report.contains("DeadlineExceeded"), "got: {report}");

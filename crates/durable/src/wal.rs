@@ -26,7 +26,7 @@
 //! crash (or SIGKILL) loses at most the frame being written — the OS page
 //! cache preserves completed writes across process death. [`WalWriter::sync`]
 //! additionally fsyncs for power-loss durability; callers invoke it at
-//! snapshot boundaries and on clean shutdown rather than per record, keeping
+//! a fixed trial cadence and on clean shutdown rather than per record, keeping
 //! append overhead low.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable, clippy::todo, clippy::unimplemented)]

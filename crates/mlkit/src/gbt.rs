@@ -48,6 +48,14 @@
 //! whole ensemble over the entire history. Training rows are accepted as any
 //! `AsRef<[f64]>` (plain `Vec<f64>` or shared `Arc<[f64]>` rows from a
 //! feature cache) so callers never have to clone feature matrices to fit.
+//!
+//! **Carried leaf sums.** A prediction is `base + lr · s`, where the leaf
+//! sum `s` ([`Gbt::leaf_sum`]) adds the row's leaves in tree order. Every
+//! fit also extends a caller-held leaf sum per training row: a training
+//! row's leaf in a new tree is the value of the leaf the build partitioned
+//! it into. So a warm start over rows it has already fitted takes their
+//! residuals from the carried sums, `y − (base + lr · s)`, bit for bit the
+//! `y − predict(x)` a fresh walk would give, without walking the forest.
 
 use crate::parallel::{parallel_map, Threads};
 use rand::Rng;
@@ -88,6 +96,12 @@ pub const MAX_DEPTH: usize = 10;
 /// full depth. Its feature index is 0 (the bit is masked off in the walk),
 /// and every leaf below it holds the same value.
 const PADDING: u32 = 1 << 31;
+
+/// The start value of every leaf sum: `Iterator::sum`'s own, so a leaf
+/// sum's bits are those of a `.sum()` over the trees' leaves.
+fn empty_sum() -> f64 {
+    std::iter::empty::<f64>().sum()
+}
 
 /// A fitted gradient-boosted tree ensemble (squared loss).
 #[derive(Debug, Clone)]
@@ -131,6 +145,24 @@ impl Gbt {
     /// if `params.max_depth` exceeds [`MAX_DEPTH`].
     #[must_use]
     pub fn fit<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(xs: &[X], ys: &[f64], params: GbtParams, rng: &mut R) -> Self {
+        Self::fit_summed(xs, ys, params, &mut Vec::new(), rng)
+    }
+
+    /// [`Gbt::fit`], also leaving each training row's [`Gbt::leaf_sum`]
+    /// under the fitted forest in `sums`, aligned with `xs`: the sums a
+    /// later [`Gbt::fit_incremental`] over these rows starts from.
+    ///
+    /// # Panics
+    ///
+    /// As [`Gbt::fit`].
+    #[must_use]
+    pub fn fit_summed<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(
+        xs: &[X],
+        ys: &[f64],
+        params: GbtParams,
+        sums: &mut Vec<f64>,
+        rng: &mut R,
+    ) -> Self {
         assert!(!xs.is_empty(), "empty training set");
         assert_eq!(xs.len(), ys.len());
         assert!(params.max_depth <= MAX_DEPTH, "max_depth {} exceeds {MAX_DEPTH}", params.max_depth);
@@ -144,13 +176,21 @@ impl Gbt {
             leaves: Vec::with_capacity(params.trees * leaves),
             params,
         };
-        forest.boost(xs, &mut residuals, params.trees, rng);
+        sums.clear();
+        sums.resize(xs.len(), empty_sum());
+        forest.boost(xs, &mut residuals, sums, params.trees, rng);
         forest
     }
 
     /// Warm-starts boosting from this forest: fits `extra_trees` new trees
     /// on the residuals of the current predictions over `(xs, ys)` and
     /// returns the extended ensemble. `self` is unchanged.
+    ///
+    /// `sums[i]` must be [`Gbt::leaf_sum`] of `xs[i]` under `self`, as a
+    /// previous fit over these rows left it or as a walk gives it; the
+    /// residuals are `y − (base + lr · sum)`, which is `y − predict(x)` bit
+    /// for bit. On return `sums` holds the leaf sums under the extended
+    /// forest.
     ///
     /// The base prediction and hyperparameters are inherited from the
     /// original fit, so with `extra_trees == 0` the returned forest predicts
@@ -163,14 +203,23 @@ impl Gbt {
     ///
     /// # Panics
     ///
-    /// Panics if the training set is empty, ragged, or narrower than the
-    /// rows the forest was fitted on.
+    /// Panics if the training set is empty or ragged, if `sums` is not
+    /// aligned with `xs`, or if the rows are narrower than the rows the
+    /// forest was fitted on.
     #[must_use]
-    pub fn fit_incremental<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(&self, xs: &[X], ys: &[f64], extra_trees: usize, rng: &mut R) -> Self {
+    pub fn fit_incremental<X: AsRef<[f64]> + Sync, R: Rng + ?Sized>(
+        &self,
+        xs: &[X],
+        ys: &[f64],
+        sums: &mut [f64],
+        extra_trees: usize,
+        rng: &mut R,
+    ) -> Self {
         assert!(!xs.is_empty(), "empty training set");
         assert_eq!(xs.len(), ys.len());
-        let preds = self.predict_batch(xs);
-        let mut residuals: Vec<f64> = ys.iter().zip(&preds).map(|(y, p)| y - p).collect();
+        assert_eq!(xs.len(), sums.len(), "one leaf sum per training row");
+        let (base, lr) = (self.base, self.params.learning_rate);
+        let mut residuals: Vec<f64> = ys.iter().zip(&*sums).map(|(y, s)| y - (base + lr * s)).collect();
         let (splits, leaves) = tree_size(self.params.max_depth);
         let mut forest = Self {
             base: self.base,
@@ -179,13 +228,14 @@ impl Gbt {
             leaves: with_room(&self.leaves, extra_trees * leaves),
             params: self.params,
         };
-        forest.boost(xs, &mut residuals, extra_trees, rng);
+        forest.boost(xs, &mut residuals, sums, extra_trees, rng);
         forest
     }
 
     /// Shared boosting loop: appends `rounds` trees fitted on `residuals`,
-    /// updating the residuals in place with shrinkage after each round.
-    fn boost<X: AsRef<[f64]>, R: Rng + ?Sized>(&mut self, xs: &[X], residuals: &mut [f64], rounds: usize, rng: &mut R) {
+    /// updating the residuals in place with shrinkage after each round and
+    /// adding each row's new leaf to its leaf sum.
+    fn boost<X: AsRef<[f64]>, R: Rng + ?Sized>(&mut self, xs: &[X], residuals: &mut [f64], sums: &mut [f64], rounds: usize, rng: &mut R) {
         let mut builder = TreeBuilder::new(xs, &self.params);
         let (splits, leaves) = tree_size(self.params.max_depth);
         for _ in 0..rounds {
@@ -200,22 +250,27 @@ impl Gbt {
             };
             builder.build(residuals, tree, rng);
             // A training row's tree prediction is the value of the leaf the
-            // build partitioned it into.
-            for (r, p) in residuals.iter_mut().zip(&builder.fitted) {
+            // build partitioned it into, the leaf its walk reaches.
+            for ((r, s), p) in residuals.iter_mut().zip(sums.iter_mut()).zip(&builder.fitted) {
                 *r -= self.params.learning_rate * p;
+                *s += p;
             }
         }
     }
 
-    /// Predicted value at `x`: each tree walks its `D` levels, eight trees
-    /// in lockstep, and the leaves are summed in tree order.
+    /// Predicted value at `x`: `base + lr · leaf_sum(x)`.
     #[must_use]
     pub fn predict(&self, x: &[f64]) -> f64 {
+        self.base + self.params.learning_rate * self.leaf_sum(x)
+    }
+
+    /// The sum of the leaves `x` reaches, in tree order: each tree walks its
+    /// `D` levels, eight trees in lockstep.
+    #[must_use]
+    pub fn leaf_sum(&self, x: &[f64]) -> f64 {
         let trees = self.len();
         let grouped = trees - trees % WALK_LANES;
-        // Start from `Iterator::sum`'s own start value: the sum's bits are
-        // those of a `.sum()` over the trees' leaves.
-        let mut sum = std::iter::empty::<f64>().sum::<f64>();
+        let mut sum = empty_sum();
         for first in (0..grouped).step_by(WALK_LANES) {
             for leaf in self.walk::<WALK_LANES>(x, first) {
                 sum += leaf;
@@ -224,7 +279,7 @@ impl Gbt {
         for tree in grouped..trees {
             sum += self.walk::<1>(x, tree)[0];
         }
-        self.base + self.params.learning_rate * sum
+        sum
     }
 
     /// The leaf values of trees `first..first + K` at `x`, walked level by
@@ -544,7 +599,9 @@ fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>)
     // Runs ascend in `total_cmp` order: sign-bit NaNs, -∞, finite values,
     // +∞, other NaNs. A midpoint is not finite next to a NaN or an
     // infinity, or where the sum overflows, which happens only at the two
-    // ends, so the boundaries with a finite midpoint form one range, `lo..hi`.
+    // ends, so the boundaries with a finite midpoint form one range. The
+    // candidates are its multiples of `step`, `lo..hi`: stepping from 0
+    // past the non-finite prefix lands on the first of them.
     let midpoint = |j: usize| (runs[j].value + runs[j + 1].value) / 2.0;
     let mut hi = runs.len() - 1;
     while hi > 0 && !midpoint(hi - 1).is_finite() {
@@ -552,9 +609,8 @@ fn sweep(values: &[f64], order: &[u32], targets: &[f64], runs: &mut Vec<RunEnd>)
     }
     let mut lo = 0;
     while lo < hi && !midpoint(lo).is_finite() {
-        lo += 1;
+        lo += step;
     }
-    let lo = lo.next_multiple_of(step);
     if lo >= hi {
         return None;
     }
@@ -576,6 +632,11 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Every row's leaf sum under `gbt`, by a walk.
+    fn walked_sums(gbt: &Gbt, xs: &[Vec<f64>]) -> Vec<f64> {
+        xs.iter().map(|x| gbt.leaf_sum(x)).collect()
+    }
 
     fn friedman_like(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
         use rand::Rng;
@@ -806,7 +867,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let base = Gbt::fit(&xs, &ys, GbtParams::default(), &mut rng);
         let mut rng = StdRng::seed_from_u64(22);
-        let same = base.fit_incremental(&xs, &ys, 0, &mut rng);
+        let same = base.fit_incremental(&xs, &ys, &mut walked_sums(&base, &xs), 0, &mut rng);
         assert_eq!(same.len(), base.len());
         for x in &xs {
             assert_eq!(base.predict(x).to_bits(), same.predict(x).to_bits());
@@ -826,7 +887,7 @@ mod tests {
             },
             &mut rng,
         );
-        let extended = short.fit_incremental(&xs, &ys, 40, &mut rng);
+        let extended = short.fit_incremental(&xs, &ys, &mut walked_sums(&short, &xs), 40, &mut rng);
         assert_eq!(extended.len(), 48);
         assert_eq!(short.len(), 8, "warm start must not mutate the original");
         let mse = |g: &Gbt| xs.iter().zip(&ys).map(|(x, y)| (g.predict(x) - y).powi(2)).sum::<f64>() / xs.len() as f64;
@@ -851,7 +912,7 @@ mod tests {
             },
             &mut rng,
         );
-        let warm = short.fit_incremental(&xs, &ys, 42, &mut rng);
+        let warm = short.fit_incremental(&xs, &ys, &mut walked_sums(&short, &xs), 42, &mut rng);
         let mse = |g: &Gbt| xs.iter().zip(&ys).map(|(x, y)| (g.predict(x) - y).powi(2)).sum::<f64>() / xs.len() as f64;
         assert!(mse(&warm) < 2.0 * mse(&scratch), "warm {} vs scratch {}", mse(&warm), mse(&scratch));
     }
@@ -864,7 +925,7 @@ mod tests {
         let grow_at = |threads: usize| {
             crate::parallel::set_default_threads(threads);
             let mut rng = StdRng::seed_from_u64(29);
-            let grown = base.fit_incremental(&xs, &ys, 8, &mut rng);
+            let grown = base.fit_incremental(&xs, &ys, &mut walked_sums(&base, &xs), 8, &mut rng);
             crate::parallel::set_default_threads(0);
             xs.iter().map(|x| grown.predict(x).to_bits()).collect::<Vec<u64>>()
         };
@@ -1107,10 +1168,11 @@ mod tests {
         (xs, ys)
     }
 
-    /// Fits `params` (then grows `warm_trees` more) with the presorted
-    /// builder at 1, 2 and 8 workers and with the per-node-sort reference,
-    /// and asserts every root split and every training prediction agree to
-    /// the bit.
+    /// Fits `params` (then grows `warm_trees` more from the fit's carried
+    /// leaf sums) with the presorted builder at 1, 2 and 8 workers and with
+    /// the per-node-sort reference, whose warm start predicts every row
+    /// afresh, and asserts every root split, every training prediction and
+    /// every carried leaf sum agree to the bit.
     fn assert_matches_reference(xs: &[Vec<f64>], ys: &[f64], params: GbtParams, warm_trees: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let reference = reference::Forest::fit(xs, ys, params, &mut rng);
@@ -1118,20 +1180,27 @@ mod tests {
         for threads in [1, 2, 8] {
             crate::parallel::set_default_threads(threads);
             let mut rng = StdRng::seed_from_u64(seed);
-            let fitted = Gbt::fit(xs, ys, params, &mut rng);
-            let grown = fitted.fit_incremental(xs, ys, warm_trees, &mut rng);
+            let mut sums = Vec::new();
+            let fitted = Gbt::fit_summed(xs, ys, params, &mut sums, &mut rng);
+            assert_eq!(bits(&sums), bits(&walked_sums(&fitted, xs)), "sums carried by a fit");
+            let grown = fitted.fit_incremental(xs, ys, &mut sums, warm_trees, &mut rng);
+            assert_eq!(bits(&sums), bits(&walked_sums(&grown, xs)), "sums carried by a warm start");
             crate::parallel::set_default_threads(0);
             for (ours, theirs) in [(&fitted, &reference), (&grown, &reference_grown)] {
                 assert_eq!(ours.len(), theirs.len());
                 for t in 0..ours.len() {
-                    let bits = |split: Option<(usize, f64)>| split.map(|(f, threshold)| (f, threshold.to_bits()));
-                    assert_eq!(bits(ours.root_split(t)), bits(theirs.root_split(t)), "tree {t}");
+                    let split_bits = |split: Option<(usize, f64)>| split.map(|(f, threshold)| (f, threshold.to_bits()));
+                    assert_eq!(split_bits(ours.root_split(t)), split_bits(theirs.root_split(t)), "tree {t}");
                 }
                 for x in xs {
                     assert_eq!(ours.predict(x).to_bits(), theirs.predict(x).to_bits());
                 }
             }
         }
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     /// One case of the builder-vs-reference property: `mixed_columns` rows,
@@ -1255,8 +1324,6 @@ mod tests {
             non_finite in 0u8..2,
             trees in 1usize..=12,
         ) {
-            // Row counts straddle the warm start's PARALLEL_PREDICT_ROWS, the
-            // one fan-out a fit reaches.
             matches_reference_case(rows, seed, max_depth, split_rule, non_finite == 1, trees);
         }
     }

@@ -10,7 +10,7 @@ use crate::cancel::CancelReason;
 use crate::health::HealthReport;
 use serde::{Deserialize, Serialize};
 
-/// Why a cell finished early but cleanly (snapshot flushed, resumable) —
+/// Why a cell finished early but cleanly (journal fsynced, resumable) —
 /// or, for [`Degradation::ComponentFallback`], why a cell that ran its
 /// full budget still does not count as healthy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,7 +56,7 @@ pub enum Abandonment {
 pub enum CellStatus {
     /// Ran its full budget; `complete.json` written.
     Complete,
-    /// Stopped early at a trial boundary; snapshot flushed, resumable.
+    /// Stopped early at a trial boundary; journal fsynced, resumable.
     Degraded(Degradation),
     /// Work given up; journal closed out, not resumable on this device.
     Abandoned(Abandonment),

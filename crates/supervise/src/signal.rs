@@ -2,7 +2,7 @@
 //!
 //! The first SIGINT/SIGTERM trips the process-wide [`CancelToken`] with
 //! [`CancelReason::Interrupted`]; the run drains at the next trial
-//! boundary, flushes its snapshot, prints the resume command, and exits 0.
+//! boundary, fsyncs its journal, prints the resume command, and exits 0.
 //! A second signal means the operator is done waiting: the handler calls
 //! `_exit(130)` immediately (no unwinding, no flushing — the WAL is
 //! already durable per frame, so this is exactly the SIGKILL story the

@@ -18,7 +18,11 @@
 //!   never re-cloned;
 //! * most rounds warm-start from the previous forest via
 //!   [`Gbt::fit_incremental`], appending [`DEFAULT_INCREMENTAL_TREES`]
-//!   trees fitted on the residuals, seeded by `child_rng(seed, round)`;
+//!   trees fitted on the residuals, seeded by `child_rng(seed, round)`.
+//!   The residuals come from one carried leaf sum per training row
+//!   ([`Gbt::leaf_sum`]), which every fit extends with its new trees'
+//!   leaves, so a warm start walks the forest only for the rows spliced in
+//!   since the last fit, bit-identically to predicting every row afresh;
 //! * every [`DEFAULT_REFIT_EVERY`]-th fit (and whenever the transfer set
 //!   drops out) the forest is refitted from scratch with
 //!   `StdRng::seed_from_u64(seed)` — exactly the historical code path — to
@@ -99,6 +103,10 @@ pub struct GbtCostModel {
     /// still-active transfer rows as a tail.
     train_x: Vec<Arc<[f64]>>,
     train_y: Vec<f64>,
+    /// Each training row's [`Gbt::leaf_sum`] under `model`, aligned with
+    /// `train_x` (placeholders while there is no model; a scratch fit
+    /// overwrites them all).
+    train_sums: Vec<f64>,
     /// Number of local (non-transfer) rows at the front of the matrix.
     local_rows: usize,
     /// Transfer rows currently kept in the matrix tail (0 once dropped).
@@ -127,6 +135,7 @@ impl GbtCostModel {
             cache: FeatureCache::new(),
             train_x: Vec::new(),
             train_y: Vec::new(),
+            train_sums: Vec::new(),
             local_rows: 0,
             transfer_tail: 0,
             transfer_loaded: 0,
@@ -167,7 +176,9 @@ impl GbtCostModel {
                 // Transfer rows live in the matrix tail, after local rows;
                 // they are featurized directly (not through the cache) so
                 // foreign configs never pollute the campaign's memo.
-                self.train_x.push(Arc::from(space.features(config)));
+                let row: Arc<[f64]> = Arc::from(space.features(config));
+                self.train_sums.push(self.leaf_sum(&row));
+                self.train_x.push(row);
                 self.train_y.push(gflops / SCORE_SCALE);
                 self.transfer_tail += 1;
                 self.transfer_loaded += 1;
@@ -210,6 +221,9 @@ impl GbtCostModel {
         if had_new {
             let rows = self.cache.rows_batch(space, new_usable.iter().map(|t| &t.config));
             let at = self.local_rows;
+            // The one walk a new row gets: its leaf sum under the forest.
+            let sums: Vec<f64> = rows.iter().map(|row| self.leaf_sum(row)).collect();
+            self.train_sums.splice(at..at, sums);
             self.train_x.splice(at..at, rows);
             self.train_y
                 .splice(at..at, new_usable.iter().map(|t| t.gflops.unwrap_or(0.0) / SCORE_SCALE));
@@ -222,6 +236,7 @@ impl GbtCostModel {
         if self.transfer_tail > 0 && self.local_rows >= 2 * self.transfer_tail {
             self.train_x.truncate(self.local_rows);
             self.train_y.truncate(self.local_rows);
+            self.train_sums.truncate(self.local_rows);
             self.transfer_tail = 0;
             force_scratch = true;
         }
@@ -239,7 +254,13 @@ impl GbtCostModel {
         // path the structural fallback rather than a reachable panic.
         if let Some(prev) = self.model.take().filter(|_| !refit_due) {
             let mut rng = child_rng(self.seed, self.rounds as u64);
-            let grown = prev.fit_incremental(&self.train_x, &self.train_y, DEFAULT_INCREMENTAL_TREES, &mut rng);
+            let grown = prev.fit_incremental(
+                &self.train_x,
+                &self.train_y,
+                &mut self.train_sums,
+                DEFAULT_INCREMENTAL_TREES,
+                &mut rng,
+            );
             self.model = Some(grown);
             self.fits_since_refit += 1;
             self.incremental_fits += 1;
@@ -248,7 +269,13 @@ impl GbtCostModel {
             // The historical code path, bit-for-bit: one seeded scratch fit
             // over (local rows in history order, then transfer rows).
             let mut rng = StdRng::seed_from_u64(self.seed);
-            self.model = Some(Gbt::fit(&self.train_x, &self.train_y, self.params, &mut rng));
+            self.model = Some(Gbt::fit_summed(
+                &self.train_x,
+                &self.train_y,
+                self.params,
+                &mut self.train_sums,
+                &mut rng,
+            ));
             self.fits_since_refit = 0;
             self.scratch_fits += 1;
             self.last_fit = FitKind::Scratch;
@@ -261,6 +288,7 @@ impl GbtCostModel {
         // data) but drop local rows, the forest, and the memo.
         self.train_x.drain(..self.local_rows);
         self.train_y.drain(..self.local_rows);
+        self.train_sums.drain(..self.local_rows);
         self.local_rows = 0;
         self.seen_trials = 0;
         self.model = None;
@@ -268,6 +296,12 @@ impl GbtCostModel {
         self.fits_since_refit = 0;
         self.last_fit = FitKind::Unfitted;
         self.cache.clear();
+    }
+
+    /// The leaf sum of `row` under the current forest, or a placeholder
+    /// before the first fit.
+    fn leaf_sum(&self, row: &[f64]) -> f64 {
+        self.model.as_ref().map_or(0.0, |m| m.leaf_sum(row))
     }
 
     /// Predicted throughput (GFLOPS) of `config`.
@@ -611,6 +645,86 @@ mod tests {
         assert_eq!(model.last_fit(), FitKind::Scratch);
         let usable = short.trials.iter().filter(|t| !t.is_fault()).count();
         assert_eq!(model.lifecycle().training_rows, usable);
+    }
+
+    /// Drives a model that starts from `transfer` foreign rows through fits
+    /// of `batch` new trials each, over `trials` trials. At every warm
+    /// start the forest must equal, bit for bit, the one a warm start that
+    /// predicts every training row afresh grows from the previous forest,
+    /// and after every fit the carried sums must equal a fresh walk. Returns
+    /// how many warm starts ran with a transfer tail and whether the tail
+    /// was dropped.
+    fn assert_carried_sums_match_a_full_walk(seed: u64, trials: usize, transfer: usize, batch: usize) -> (usize, bool) {
+        let (space, history) = measured_history(trials, seed);
+        let (_, donor) = measured_history(3 * transfer, seed + 1);
+        let mut model = GbtCostModel::new(seed);
+        model.load_transfer(&space, &[&donor], transfer);
+        let mut prefix = TuningHistory::new(&history.gpu, &history.model, history.task_index, history.template);
+        let (mut tail_warm_starts, mut dropped) = (0, false);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        for chunk in history.trials.chunks(batch) {
+            prefix.trials.extend_from_slice(chunk);
+            let (prev, round, tail) = (model.model.clone(), model.rounds, model.transfer_tail);
+            model.fit(&space, &prefix);
+            dropped |= tail > 0 && model.transfer_tail == 0;
+            let Some(forest) = model.model.as_ref() else {
+                continue;
+            };
+            let walked: Vec<f64> = model.train_x.iter().map(|x| forest.leaf_sum(x)).collect();
+            assert_eq!(bits(&model.train_sums), bits(&walked), "carried sums drifted from a walk");
+            if model.last_fit() != FitKind::Incremental {
+                continue;
+            }
+            tail_warm_starts += usize::from(model.transfer_tail > 0);
+            // The reference warm start: every row walks the previous forest
+            // afresh, so every residual is `y − predict(x)`.
+            let prev = prev.expect("a warm start grows a previous forest");
+            let mut fresh: Vec<f64> = model.train_x.iter().map(|x| prev.leaf_sum(x)).collect();
+            let mut rng = child_rng(seed, round as u64);
+            let reference = prev.fit_incremental(&model.train_x, &model.train_y, &mut fresh, DEFAULT_INCREMENTAL_TREES, &mut rng);
+            let ours: Vec<f64> = model.train_x.iter().map(|x| forest.predict(x)).collect();
+            let theirs: Vec<f64> = model.train_x.iter().map(|x| reference.predict(x)).collect();
+            assert_eq!(bits(&ours), bits(&theirs), "warm start diverged from the walking one");
+        }
+        (tail_warm_starts, dropped)
+    }
+
+    #[test]
+    fn carried_sums_cover_a_transfer_tail_and_its_drop() {
+        let (tail_warm_starts, dropped) = assert_carried_sums_match_a_full_walk(3, 160, 32, 8);
+        assert!(tail_warm_starts > 0, "rows were spliced ahead of a live transfer tail");
+        assert!(dropped, "the transfer tail was dropped");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn carried_sums_match_a_full_walk(
+            seed in 0u64..1_000_000,
+            trials in 1usize..160,
+            transfer in 0usize..48,
+            batch in 1usize..24,
+        ) {
+            assert_carried_sums_match_a_full_walk(seed, trials, transfer, batch);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The same property at 512 cases, for release builds:
+        /// `cargo test --release -p glimpse-tuners --lib -- --ignored`.
+        #[test]
+        #[ignore = "512 cases: run in release with --ignored"]
+        fn carried_sums_match_a_full_walk_512_cases(
+            seed in 0u64..1_000_000,
+            trials in 1usize..160,
+            transfer in 0usize..48,
+            batch in 1usize..24,
+        ) {
+            assert_carried_sums_match_a_full_walk(seed, trials, transfer, batch);
+        }
     }
 
     #[test]

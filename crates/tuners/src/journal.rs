@@ -1,7 +1,6 @@
-//! Crash-safe tuning runs: durable trial journal, atomic snapshots, and
-//! kill-anywhere resume.
+//! Crash-safe tuning runs: durable trial journal and kill-anywhere resume.
 //!
-//! A checkpointed run directory holds three files:
+//! A checkpointed run directory holds two files:
 //!
 //! * `journal.wal` — an append-only write-ahead log (see
 //!   [`glimpse_durable::wal`]). Frame 0 is the [`RunHeader`] (run identity
@@ -9,10 +8,9 @@
 //!   [`TrialRecord`] — the [`Trial`] plus the [`MeasurerState`] *after* it —
 //!   appended before the tuner consumes the trial, so a crash never loses a
 //!   debited measurement.
-//! * `snapshot.json` — a periodic [`Snapshot`] written atomically
-//!   (temp file + fsync + rename) every [`CheckpointSpec::snapshot_every`]
-//!   trials; each snapshot also fsyncs the WAL, making everything up to it
-//!   power-loss durable.
+//!   Every [`DEFAULT_SNAPSHOT_EVERY`] trials, and when a run drains, the WAL
+//!   is fsynced, making everything up to that point power-loss durable;
+//!   appends between two barriers are buffered by the OS.
 //! * `complete.json` — the final [`TuningOutcome`], written atomically by
 //!   [`RunJournal::mark_complete`]. Its presence marks the cell finished;
 //!   fleet resume loads it instead of re-running.
@@ -51,11 +49,10 @@ use std::path::{Path, PathBuf};
 
 /// WAL file name inside a checkpoint cell directory.
 pub const JOURNAL_FILE: &str = "journal.wal";
-/// Periodic atomic snapshot file name.
-pub const SNAPSHOT_FILE: &str = "snapshot.json";
 /// Terminal outcome file name; presence marks the cell complete.
 pub const COMPLETE_FILE: &str = "complete.json";
-/// Default snapshot cadence (trials per snapshot + WAL fsync).
+/// Trials per WAL fsync, the power-loss durability barrier. The name is
+/// kept because tunebench imports it.
 pub const DEFAULT_SNAPSHOT_EVERY: u64 = 16;
 /// Default bytes of a torn frame that reach the file when `torn_at_seq`
 /// fires without an explicit `torn_keep_bytes` (cuts mid-header).
@@ -177,27 +174,14 @@ pub struct TrialRecord {
     pub post: MeasurerState,
 }
 
-/// Periodic atomic checkpoint of run progress (written alongside a WAL
-/// fsync, so everything up to `trials` is power-loss durable).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Snapshot {
-    /// Trials journaled when this snapshot was taken.
-    pub trials: u64,
-    /// Best valid throughput so far (GFLOPS).
-    pub best_gflops: f64,
-    /// Measurer state after the last journaled trial.
-    pub post: MeasurerState,
-}
-
 /// A live journal: the appending end of a checkpointed run.
 #[derive(Debug)]
 pub struct RunJournal {
     writer: glimpse_durable::WalWriter,
     dir: PathBuf,
-    snapshot_every: u64,
+    sync_every: u64,
     storage: StorageFaults,
     trials: u64,
-    best_gflops: f64,
     poison: Option<JournalError>,
 }
 
@@ -214,13 +198,14 @@ pub struct ResumedRun {
 
 impl RunJournal {
     /// Starts a fresh journal in `dir`, writing and fsyncing the header
-    /// frame before returning.
+    /// frame before returning. The WAL is fsynced again after every
+    /// `sync_every` trials (never, at 0).
     ///
     /// # Errors
     ///
     /// [`JournalError::AlreadyExists`] if `dir` already holds a journal
     /// (use [`RunJournal::resume`]); otherwise IO/encoding errors.
-    pub fn create(dir: &Path, header: &RunHeader, storage: StorageFaults, snapshot_every: u64) -> Result<Self, JournalError> {
+    pub fn create(dir: &Path, header: &RunHeader, storage: StorageFaults, sync_every: u64) -> Result<Self, JournalError> {
         std::fs::create_dir_all(dir)?;
         let path = dir.join(JOURNAL_FILE);
         if path.exists() {
@@ -233,10 +218,9 @@ impl RunJournal {
         Ok(Self {
             writer,
             dir: dir.to_path_buf(),
-            snapshot_every,
+            sync_every,
             storage,
             trials: 0,
-            best_gflops: 0.0,
             poison: None,
         })
     }
@@ -244,7 +228,8 @@ impl RunJournal {
     /// Recovers the journal in `dir`: scans the WAL, drops a corrupt tail
     /// (truncated frame, bad CRC, bad sequence number, or an undecodable
     /// trailing payload), truncates the file back to the intact prefix,
-    /// and returns the header plus every recovered trial record.
+    /// and returns the header plus every recovered trial record. Appends
+    /// continue with a WAL fsync after every `sync_every` trials.
     ///
     /// Returns `Ok(None)` when no header frame survived — nothing was
     /// durably recorded, so the caller should start the run from scratch.
@@ -253,7 +238,7 @@ impl RunJournal {
     ///
     /// IO errors, or [`JournalError::Corrupt`] when the header frame is
     /// intact at the WAL layer but undecodable (format drift).
-    pub fn resume(dir: &Path, storage: StorageFaults, snapshot_every: u64) -> Result<Option<ResumedRun>, JournalError> {
+    pub fn resume(dir: &Path, storage: StorageFaults, sync_every: u64) -> Result<Option<ResumedRun>, JournalError> {
         let path = dir.join(JOURNAL_FILE);
         let bytes = std::fs::read(&path)?;
         let recovery = glimpse_durable::scan(&bytes, 0);
@@ -263,7 +248,6 @@ impl RunJournal {
         let header: RunHeader = decode(&first.payload, 0)?;
         let mut valid_len = frame_len(first) as u64;
         let mut records = Vec::with_capacity(recovery.frames.len().saturating_sub(1));
-        let mut best_gflops = 0.0f64;
         for frame in &recovery.frames[1..] {
             // A record that passed its CRC but fails to decode is treated
             // exactly like a torn tail: it and everything after it are
@@ -274,9 +258,6 @@ impl RunJournal {
                 break;
             };
             valid_len += frame_len(frame) as u64;
-            if let Some(g) = record.trial.gflops {
-                best_gflops = best_gflops.max(g);
-            }
             records.push(record);
         }
         let next_seq = records.len() as u64 + 1;
@@ -286,10 +267,9 @@ impl RunJournal {
             journal: Self {
                 writer,
                 dir: dir.to_path_buf(),
-                snapshot_every,
+                sync_every,
                 storage,
                 trials,
-                best_gflops,
                 poison: None,
             },
             header,
@@ -328,38 +308,22 @@ impl RunJournal {
         }
         self.writer.append(payload.as_bytes())?;
         self.trials += 1;
-        if let Some(g) = record.trial.gflops {
-            self.best_gflops = self.best_gflops.max(g);
-        }
-        if self.snapshot_every > 0 && self.trials.is_multiple_of(self.snapshot_every) {
-            self.write_snapshot(&record.post)?;
+        if self.sync_every > 0 && self.trials.is_multiple_of(self.sync_every) {
+            self.writer.sync()?;
         }
         Ok(())
     }
 
-    /// Forces a snapshot + WAL fsync *now* — the graceful-shutdown flush.
-    /// Everything journaled so far becomes power-loss durable before the
-    /// process exits. The snapshot is advisory (resume replays the WAL, not
-    /// the snapshot): if the run was cancelled while still replaying a
-    /// recorded prefix, `post` is the measurer's restored starting state,
-    /// which is fine because nothing new was measured.
+    /// Fsyncs the WAL *now* — the graceful-shutdown drain. Everything
+    /// journaled so far becomes power-loss durable before the process
+    /// exits; resume replays the WAL, so nothing else needs writing. The
+    /// name and the unused `post` argument are kept for tunebench, which
+    /// times this call.
     ///
     /// # Errors
     ///
-    /// IO or encoding errors.
-    pub fn flush_snapshot(&mut self, post: &MeasurerState) -> Result<(), JournalError> {
-        self.write_snapshot(post)
-    }
-
-    fn write_snapshot(&mut self, post: &MeasurerState) -> Result<(), JournalError> {
-        let snapshot = Snapshot {
-            trials: self.trials,
-            best_gflops: self.best_gflops,
-            post: *post,
-        };
-        let text = encode(&snapshot, self.trials)?;
-        glimpse_durable::atomic_write(&self.dir.join(SNAPSHOT_FILE), text.as_bytes())?;
-        // Snapshot cadence doubles as the power-loss durability barrier.
+    /// IO errors.
+    pub fn flush_snapshot(&mut self, _post: &MeasurerState) -> Result<(), JournalError> {
         self.writer.sync()?;
         Ok(())
     }
@@ -424,24 +388,6 @@ pub fn load_complete(dir: &Path) -> Result<Option<TuningOutcome>, JournalError> 
     })
 }
 
-/// Loads the latest periodic snapshot, if one was written.
-///
-/// # Errors
-///
-/// IO errors other than the file being absent, or a corrupt snapshot.
-pub fn load_snapshot(dir: &Path) -> Result<Option<Snapshot>, JournalError> {
-    let path = dir.join(SNAPSHOT_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(text) => text,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(err) => return Err(JournalError::Io(err)),
-    };
-    serde_json::from_str(&text).map(Some).map_err(|err| JournalError::Corrupt {
-        seq: 0,
-        detail: format!("{}: {err:?}", path.display()),
-    })
-}
-
 fn encode<T: Serialize>(value: &T, seq: u64) -> Result<String, JournalError> {
     serde_json::to_string(value).map_err(|err| JournalError::Corrupt {
         seq,
@@ -467,7 +413,7 @@ fn frame_len(frame: &glimpse_durable::WalFrame) -> usize {
 /// Where and how a run checkpoints.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckpointSpec<'p> {
-    /// Cell directory holding `journal.wal` / `snapshot.json` /
+    /// Cell directory holding `journal.wal` and, once the cell is done,
     /// `complete.json`.
     pub dir: &'p Path,
     /// Whether an existing journal may be continued (otherwise an existing
@@ -475,20 +421,16 @@ pub struct CheckpointSpec<'p> {
     pub resume: bool,
     /// Injected storage faults (chaos tests).
     pub storage: StorageFaults,
-    /// Trials per snapshot + WAL fsync.
-    pub snapshot_every: u64,
 }
 
 impl<'p> CheckpointSpec<'p> {
-    /// A spec with defaults: fresh run, no injected faults, default
-    /// snapshot cadence.
+    /// A spec with defaults: fresh run, no injected faults.
     #[must_use]
     pub fn new(dir: &'p Path) -> Self {
         Self {
             dir,
             resume: false,
             storage: StorageFaults::none(),
-            snapshot_every: DEFAULT_SNAPSHOT_EVERY,
         }
     }
 
@@ -542,7 +484,7 @@ impl SupervisedOutcome {
 /// under supervision.
 ///
 /// Fresh run: writes the header, journals every trial before the tuner
-/// consumes it, snapshots periodically, and writes `complete.json` at the
+/// consumes it, fsyncs the WAL periodically, and writes `complete.json` at the
 /// end. Resume (`spec.resume`): the journal's header must decode; a
 /// completed cell then returns its stored outcome without touching the
 /// measurer, and an interrupted cell whose header matches this run is
@@ -559,10 +501,10 @@ impl SupervisedOutcome {
 ///
 /// 1. journal poison (injected crash/torn write, replay divergence) — a
 ///    hard `Err`;
-/// 2. a tripped token — snapshot + WAL fsync are flushed and the cell is
+/// 2. a tripped token — the WAL is fsynced and the cell is
 ///    `Degraded(reason)`; the journal is a byte-identical prefix of the
 ///    uninterrupted run's and `--resume` will finish it;
-/// 3. a dead device — snapshot flushed, `Abandoned(DeviceDead)`: the
+/// 3. a dead device — the WAL is fsynced, `Abandoned(DeviceDead)`: the
 ///    partial outcome is returned but `complete.json` is not written, so
 ///    the fleet supervisor may reassign the cell;
 /// 4. otherwise `complete.json` is written and the cell is `Complete`.
@@ -611,7 +553,7 @@ pub fn run_supervised<T: Tuner + ?Sized>(
         // Recovery decodes and compares the header first, so a cell whose
         // header this build cannot read, or that belongs to a different
         // run, is refused even when it completed.
-        match RunJournal::resume(spec.dir, spec.storage, spec.snapshot_every)? {
+        match RunJournal::resume(spec.dir, spec.storage, DEFAULT_SNAPSHOT_EVERY)? {
             Some(run) => {
                 verify_header(&run.header, &header)?;
                 if let Some(outcome) = load_complete(spec.dir)? {
@@ -635,7 +577,7 @@ pub fn run_supervised<T: Tuner + ?Sized>(
     let (mut journal, records) = match resumed {
         Some(run) => run,
         None => (
-            RunJournal::create(spec.dir, &header, spec.storage, spec.snapshot_every)?,
+            RunJournal::create(spec.dir, &header, spec.storage, DEFAULT_SNAPSHOT_EVERY)?,
             Vec::new(),
         ),
     };
@@ -651,7 +593,7 @@ pub fn run_supervised<T: Tuner + ?Sized>(
     // A full-budget run on component fallbacks is still *finished*:
     // complete.json is written (the cell never re-runs), but the status
     // reports the weakened search strategy. A cut-short or abandoned cell
-    // flushes its snapshot and stays resumable.
+    // fsyncs its WAL and stays resumable.
     if matches!(
         supervised.status,
         CellStatus::Complete | CellStatus::Degraded(Degradation::ComponentFallback)
@@ -743,6 +685,22 @@ mod tests {
         Measurer::with_faults(database::find("Titan Xp").unwrap().clone(), 7, plan)
     }
 
+    /// The file names in a cell directory, sorted.
+    fn cell_files(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// Trial records an interrupted cell's WAL recovers.
+    fn recovered_records(dir: &Path) -> usize {
+        let run = RunJournal::resume(dir, StorageFaults::none(), DEFAULT_SNAPSHOT_EVERY).unwrap();
+        run.expect("the header frame is durable").records.len()
+    }
+
     #[test]
     fn uninterrupted_checkpointed_run_completes_and_reloads() {
         let dir = temp_dir("clean_run");
@@ -756,9 +714,9 @@ mod tests {
         assert_eq!(outcome.measurements, 20);
         let stored = load_complete(&dir).unwrap().expect("complete.json written");
         assert_eq!(stored, outcome);
-        // A periodic snapshot landed (cadence 16 <= 20 trials).
-        let snapshot = load_snapshot(&dir).unwrap().expect("snapshot written");
-        assert_eq!(snapshot.trials, 16);
+        // The WAL is the whole record of the run: no snapshot, no temp file.
+        assert_eq!(cell_files(&dir), [COMPLETE_FILE, JOURNAL_FILE]);
+        assert_eq!(recovered_records(&dir), 20);
         // Resuming a completed cell returns the stored outcome untouched.
         let spec = spec.resuming(true);
         let mut m2 = measurer(&plan);
@@ -920,7 +878,8 @@ mod tests {
         assert_eq!(supervised.outcome.measurements, 0, "a zero deadline stops before the first trial");
         assert!(supervised.deadline_slack_s.is_some_and(|s| s <= 0.0));
         assert!(load_complete(&dir).unwrap().is_none(), "degraded cell must not be marked complete");
-        assert!(load_snapshot(&dir).unwrap().is_some(), "degraded cell must flush a snapshot");
+        assert_eq!(cell_files(&dir), [JOURNAL_FILE], "a drained cell holds its WAL only");
+        assert_eq!(recovered_records(&dir), 0);
         // Resuming with a generous deadline finishes the cell.
         let spec = spec.resuming(true);
         let control = RunControl::none().deadline_s(Some(1e9));
@@ -976,6 +935,8 @@ mod tests {
         let supervised = run_supervised(&mut RandomTuner::new(), &spec, &task, &space, &mut m, budget, 3, &control).unwrap();
         assert_eq!(supervised.status, CellStatus::Degraded(Degradation::Interrupted));
         assert_eq!(supervised.outcome.measurements, 4, "cancel fires before trial 5 is journaled");
+        assert_eq!(cell_files(&dir), [JOURNAL_FILE], "a drained cell holds its WAL only");
+        assert_eq!(recovered_records(&dir), 4);
         let wal = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
         assert!(
             wal.len() < baseline_wal.len() && baseline_wal.starts_with(&wal),

@@ -127,7 +127,7 @@ fn kill_resume_sweep(threads: usize, kills_per_run: &[&[u64]], tag: &str) {
 
 #[test]
 fn killed_runs_resume_byte_identically_single_thread() {
-    // Kill early (header just durable), mid-run, at a snapshot boundary
+    // Kill early (header just durable), mid-run, at a WAL fsync boundary
     // (16), and one run killed repeatedly.
     kill_resume_sweep(1, &[&[1], &[9], &[16], &[3, 9, 15]], "t1");
 }
@@ -226,7 +226,7 @@ fn cancel_resume_sweep(threads: usize, boundaries: &[u64], tag: &str) {
 
 #[test]
 fn cancelled_runs_resume_byte_identically_single_thread() {
-    // Cancel before the first trial, mid-run, and at a snapshot boundary.
+    // Cancel before the first trial, mid-run, and at a WAL fsync boundary.
     cancel_resume_sweep(1, &[1, 7, 16], "c1");
 }
 
